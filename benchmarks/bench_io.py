@@ -25,7 +25,10 @@ numbers that ``check_perf_regression.py`` gates on.
 Results land in the repo root by default; set the ``BENCH_OUT_DIR``
 environment variable (as the CI perf-smoke job does) to redirect fresh runs
 somewhere else so they can be compared against the committed baselines
-instead of overwriting them.
+instead of overwriting them.  Under pytest, ``benchmarks/conftest.py``
+points an unset ``BENCH_OUT_DIR`` at a temporary directory, so regenerating
+the committed baselines is explicit:
+``BENCH_OUT_DIR=. pytest benchmarks/test_perf_*.py``.
 """
 
 from __future__ import annotations

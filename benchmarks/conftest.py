@@ -13,6 +13,7 @@ The benchmarks are built on the scenario layer: each mission is a
 :class:`CampaignRunner` so they parallelise across cores where available.
 """
 
+import os
 import sys
 from pathlib import Path
 
@@ -28,6 +29,26 @@ from repro import (  # noqa: E402
     MissionConfig,
     ScenarioSpec,
 )
+
+@pytest.fixture(autouse=True, scope="session")
+def bench_out_dir(tmp_path_factory):
+    """Send the perf suites' ``BENCH_*.json`` to a temporary directory.
+
+    A plain test run must not rewrite the committed baselines in the repo
+    root.  An explicit ``BENCH_OUT_DIR`` wins (the CI perf-smoke job sets
+    one); regenerate the baselines with
+    ``BENCH_OUT_DIR=. pytest benchmarks/test_perf_*.py``.
+    """
+    if os.environ.get("BENCH_OUT_DIR"):
+        yield Path(os.environ["BENCH_OUT_DIR"])
+        return
+    out_dir = tmp_path_factory.mktemp("bench_out")
+    os.environ["BENCH_OUT_DIR"] = str(out_dir)
+    try:
+        yield out_dir
+    finally:
+        del os.environ["BENCH_OUT_DIR"]
+
 
 # Reduced-scale stand-in for the paper's mid-difficulty environment.
 BENCH_ENV = EnvironmentConfig(

@@ -86,20 +86,105 @@ def ray_aabb_intersect(ray: Ray, box: AABB) -> Optional[Tuple[float, float]]:
     return (t_min, t_max)
 
 
+def fan_side_planes(directions: np.ndarray, corners: np.ndarray) -> np.ndarray:
+    """Unit inward normals of the side planes bounding a fan of rays.
+
+    Each plane passes through the shared origin and two consecutive corner
+    rays, so a rectangular fan has four.  A side that collapses (a fan one
+    pixel wide or tall repeats its corner rays) has no plane and is dropped.
+
+    Args:
+        directions: ``(R, 3)`` every ray of the fan.
+        corners: ``(4, 3)`` the fan's corner rays in winding order.
+
+    Returns:
+        ``(P, 3)`` normals, ``P <= 4``, with ``n . d >= -1e-12`` for every
+        ray ``d`` of the fan (asserted).
+    """
+    normals = np.cross(corners, np.roll(corners, -1, axis=0))
+    lengths = np.linalg.norm(normals, axis=1)
+    keep = lengths > _EPS
+    normals = normals[keep] / lengths[keep, None]
+    # The winding fixes one orientation for all four sides; point them at
+    # the fan's mean ray.  Elementwise products, not matmul: the first BLAS
+    # call would grow every campaign worker's RSS by its buffers.
+    if (normals * directions.sum(axis=0)).sum() < 0.0:
+        normals = -normals
+    heights = (directions[:, None, :] * normals[None, :, :]).sum(axis=2)
+    assert (heights >= -_EPS).all(), "fan ray outside its planes"
+    return normals
+
+
+def has_parallel_component(directions: np.ndarray) -> bool:
+    """True when some ray runs parallel to an axis (a component under eps)."""
+    return bool((np.abs(directions) < _EPS).any())
+
+
+#: Relative outward slack of :func:`boxes_in_fan`: a box is dropped only
+#: when it clears the range or a side plane by ``_CULL_SLACK * (1 +
+#: max_range)`` metres, far more than the rounding of the slab test and of
+#: the fan's planes, far less than any obstacle.
+_CULL_SLACK = 1e-6
+
+
+def boxes_in_fan(
+    origin: Vec3,
+    box_lo: np.ndarray,
+    box_hi: np.ndarray,
+    max_range: float,
+    side_planes: np.ndarray,
+) -> np.ndarray:
+    """Mask of the boxes a fan of unit rays can hit within ``max_range``.
+
+    A box is dropped when its surface lies farther than ``max_range`` from
+    the origin or wholly outside one of the fan's side planes.  The cull is
+    exact for :func:`raycast_aabbs_batch`: a ray that hits a box at ``t``
+    reaches a box point ``t`` metres from the origin on the inner side of
+    every plane, so a dropped box could only have produced an entry beyond
+    ``max_range`` (reported ``inf`` anyway) or none.  Removing it leaves
+    every per-ray minimum, and so every depth, bit-identical.
+
+    Args:
+        origin: the fan's shared ray origin.
+        box_lo: ``(O, 3)`` float64 minimum corners.
+        box_hi: ``(O, 3)`` float64 maximum corners.
+        max_range: the fan's sensing range, metres.
+        side_planes: ``(P, 3)`` unit normals through the origin with every
+            ray on their inner side (:func:`fan_side_planes`).
+
+    Returns:
+        ``(O,)`` bool array, True for the boxes to keep.
+    """
+    o = np.array((origin.x, origin.y, origin.z), dtype=np.float64)
+    lo_rel = box_lo - o
+    hi_rel = box_hi - o
+    slack = _CULL_SLACK * (1.0 + max_range)
+    reach = max_range + slack
+    gap = np.maximum(np.maximum(lo_rel, -hi_rel), 0.0)  # origin-to-box, per axis
+    keep = (gap * gap).sum(axis=1) <= reach * reach
+    if side_planes.shape[0]:
+        n = side_planes[None, :, :]  # (1, P, 3)
+        # Height of each box's farthest point above each plane.
+        height = np.maximum(lo_rel[:, None, :] * n, hi_rel[:, None, :] * n)
+        keep &= (height.sum(axis=2) >= -slack).all(axis=1)
+    return keep
+
+
 def raycast_aabbs_batch(
     origin: Vec3,
     directions: np.ndarray,
     box_lo: np.ndarray,
     box_hi: np.ndarray,
     max_range: float,
+    parallel: bool = True,
 ) -> np.ndarray:
     """Nearest entry distance per ray against a stack of boxes, batched.
 
     The vectorised twin of looping :func:`ray_aabb_intersect` over obstacles
-    per ray (the depth camera's inner loop): one slab test over the whole
-    ``(R rays, O boxes, 3 axes)`` block.  Elementwise arithmetic reproduces
-    the scalar routine operation for operation, so the returned depths are
-    bit-identical to the scalar loop's.
+    per ray (the depth camera's inner loop): one slab test over every
+    ``(R rays, O boxes)`` pair, axis by axis.  Elementwise arithmetic
+    reproduces the scalar routine operation for operation, so the returned
+    depths are bit-identical to the scalar loop's.
 
     Args:
         origin: shared ray origin (one sensor pose).
@@ -107,40 +192,52 @@ def raycast_aabbs_batch(
         box_lo: ``(O, 3)`` float64 minimum corners.
         box_hi: ``(O, 3)`` float64 maximum corners.
         max_range: depths beyond this report ``inf`` (nothing sensed).
+        parallel: ``False`` promises no direction component is under eps
+            (:func:`has_parallel_component`), skipping the parallel-axis
+            fix-ups that would then change nothing.
 
     Returns:
         ``(R,)`` float64 array: ``max(t_enter, 0)`` of the closest box hit
         with ``t_exit >= 0``, or ``inf`` when no box is hit within range.
     """
     rays = np.asarray(directions, dtype=np.float64)
-    lo = np.asarray(box_lo, dtype=np.float64)
-    hi = np.asarray(box_hi, dtype=np.float64)
-    if lo.shape[0] == 0:
+    if len(box_lo) == 0:
         return np.full(rays.shape[0], math.inf)
     o = np.array((origin.x, origin.y, origin.z), dtype=np.float64)
+    lo_rel = np.asarray(box_lo, dtype=np.float64) - o  # (O, 3)
+    hi_rel = np.asarray(box_hi, dtype=np.float64) - o
 
-    d = rays[:, None, :]  # (R, 1, 3)
-    lo_rel = lo[None, :, :] - o  # (1, O, 3)
-    hi_rel = hi[None, :, :] - o
+    # One (R, O) slab per axis.  Where the scalar test keeps the first of two
+    # equal values (no swap when t1 == t2; running max/min that replace only
+    # on a strict improvement; the first nearest box), np.where makes the
+    # same choice, so even the sign of a zero depth matches.
+    t_enter = t_exit = None
     with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = lo_rel / d  # (R, O, 3)
-        t2 = hi_rel / d
-    near = np.minimum(t1, t2)
-    far = np.maximum(t1, t2)
-
-    # Axes the ray runs parallel to contribute no constraint when the origin
-    # lies inside the slab and an immediate miss otherwise — the same two
-    # branches the scalar slab test takes for abs(d) < eps.
-    parallel = np.abs(d) < _EPS  # (R, 1, 3) broadcast over boxes
-    inside = (lo_rel <= 0.0) & (hi_rel >= 0.0)  # origin within the slab
-    near = np.where(parallel, np.where(inside, -np.inf, np.inf), near)
-    far = np.where(parallel, np.where(inside, np.inf, -np.inf), far)
-
-    t_enter = near.max(axis=2)  # (R, O)
-    t_exit = far.min(axis=2)
+        for axis in range(3):
+            d = rays[:, axis, None]  # (R, 1)
+            lo_k = lo_rel[:, axis]  # (O,)
+            hi_k = hi_rel[:, axis]
+            t1 = lo_k / d
+            t2 = hi_k / d
+            swap = t1 > t2
+            near = np.where(swap, t2, t1)
+            far = np.where(swap, t1, t2)
+            # Axes the ray runs parallel to contribute no constraint when the
+            # origin lies inside the slab and an immediate miss otherwise —
+            # the same two branches the scalar test takes for abs(d) < eps.
+            if parallel:
+                axis_parallel = np.abs(d) < _EPS
+                inside = (lo_k <= 0.0) & (hi_k >= 0.0)  # origin within the slab
+                near = np.where(axis_parallel, np.where(inside, -np.inf, np.inf), near)
+                far = np.where(axis_parallel, np.where(inside, np.inf, -np.inf), far)
+            if t_enter is None:
+                t_enter, t_exit = near, far
+            else:
+                t_enter = np.where(near > t_enter, near, t_enter)
+                t_exit = np.where(far < t_exit, far, t_exit)
     hit = (t_enter <= t_exit) & (t_exit >= 0.0)
-    entry = np.where(hit, np.maximum(t_enter, 0.0), np.inf)
-    nearest = entry.min(axis=1)  # (R,)
+    entry = np.where(hit, np.where(t_enter < 0.0, 0.0, t_enter), np.inf)
+    nearest = np.take_along_axis(entry, entry.argmin(axis=1)[:, None], axis=1)[:, 0]
     return np.where(nearest > max_range, np.inf, nearest)
 
 

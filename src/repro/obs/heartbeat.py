@@ -146,6 +146,12 @@ class HeartbeatEmitter:
     def on_decision_start(self, pipeline: Any, index: int) -> None:
         del pipeline, index
 
+    def on_stage_start(self, node: Any, stage: str) -> None:
+        del node, stage
+
+    def on_stage_end(self, node: Any, stage: str) -> None:
+        del node, stage
+
     def on_decision_end(self, pipeline: Any, index: int, result: Any) -> None:
         del pipeline, result
         self._decisions += 1

@@ -2,8 +2,9 @@
 
 :class:`ObsTap` is attached exactly like the analysis layer's
 ``TraceRecorder`` — ``pipeline.add_tap(tap)`` — but it watches the *runtime*
-instead of the simulation: wall-clock spans around every decision and every
-node callback, and counters/gauges/histograms over the executor, solver,
+instead of the simulation: wall-clock spans around every decision, the
+sense tick's mover step and capture, and every node callback, and
+counters/gauges/histograms over the executor, solver,
 planner, octree, comm hops and fault engine.
 
 It is strictly off the data path, by construction rather than by care:
@@ -14,7 +15,7 @@ It is strictly off the data path, by construction rather than by care:
   with the tap attached or absent;
 * it publishes nothing and calls nothing on the nodes;
 * when no tap is attached, the only residue in the runtime is one
-  truthiness check per dispatch and two per decision.
+  truthiness check per dispatch and six per decision.
 
 One tap instance can observe a whole fleet: each drone's pipeline shares
 the tap's tracer (one swimlane per drone) and metrics registry (one label
@@ -64,6 +65,7 @@ class ObsTap:
         self._open_node_span: Optional[Tuple[int, Span]] = None
         self._mission_spans: Dict[str, Span] = {}
         self._decision_spans: Dict[str, Span] = {}
+        self._stage_spans: Dict[str, Span] = {}
         # Hot-path instrument cache, one bundle per lane.
         self._lane_counters: Dict[str, Dict[str, Counter]] = {}
         self._budget_histograms: Dict[str, Histogram] = {}
@@ -237,6 +239,17 @@ class ObsTap:
             lane=lane,
             args={"index": index, "sim_time_s": pipeline.clock.now},
         )
+
+    def on_stage_start(self, node: Any, stage: str) -> None:
+        """Open a stage span (``sense.movers``, ``sense.capture``) for a node."""
+        lane = self._node_lanes[id(node)][0]
+        self._stage_spans[lane] = self.tracer.begin(stage, category="stage", lane=lane)
+
+    def on_stage_end(self, node: Any, stage: str) -> None:
+        del stage
+        span = self._stage_spans.pop(self._node_lanes[id(node)][0], None)
+        if span is not None:
+            self.tracer.end(span)
 
     def on_decision_end(self, pipeline: Any, index: int, result: Any) -> None:
         lane = self.lane_for(pipeline)

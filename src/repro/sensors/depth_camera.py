@@ -19,8 +19,36 @@ import numpy as np
 from repro import hotpath
 from repro.environment.world import World
 from repro.geometry.frustum import Frustum
-from repro.geometry.ray import Ray, ray_aabb_intersect, raycast_aabbs_batch
+from repro.geometry.ray import (
+    Ray,
+    boxes_in_fan,
+    fan_side_planes,
+    has_parallel_component,
+    ray_aabb_intersect,
+    raycast_aabbs_batch,
+)
 from repro.geometry.vec3 import Vec3
+
+
+@dataclass(frozen=True, slots=True)
+class RayFan:
+    """One camera's per-pixel ray directions at one yaw, with their bounds.
+
+    Attributes:
+        directions: unit ray direction per pixel (row-major), as Vec3s.
+        array: the same directions as an ``(R, 3)`` float64 array.
+        side_planes: ``(P, 3)`` inward normals of the planes through the
+            corner rays (:func:`~repro.geometry.ray.fan_side_planes`); a
+            capture casts only at boxes inside them
+            (:func:`~repro.geometry.ray.boxes_in_fan`).
+        parallel: True when some direction has a component under eps, so
+            the cast needs its parallel-axis fix-ups.
+    """
+
+    directions: Tuple[Vec3, ...]
+    array: np.ndarray
+    side_planes: np.ndarray
+    parallel: bool
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,7 +150,7 @@ class DepthCamera:
         # Ray-fan memo: the pixel directions depend only on the total yaw (the
         # fan is position-independent), so repeated captures at the same yaw —
         # the common case, the pipeline flies yaw-locked — reuse one fan.
-        self._fan_cache: Dict[float, Tuple[Tuple[Vec3, ...], np.ndarray]] = {}
+        self._fan_cache: Dict[float, RayFan] = {}
 
     def pixel_count(self) -> int:
         """Total rays cast per capture."""
@@ -141,18 +169,16 @@ class DepthCamera:
             max_range=self.max_range,
         )
 
-    def ray_fan(
-        self, position: Vec3, body_yaw_deg: float = 0.0
-    ) -> Tuple[Tuple[Vec3, ...], np.ndarray]:
-        """The per-pixel ray directions at a pose, as Vec3s and an ``(R, 3)`` array.
+    def ray_fan(self, position: Vec3, body_yaw_deg: float = 0.0) -> RayFan:
+        """The per-pixel ray fan at a pose.
 
         Directions depend only on the yaw, so the fan is memoised per yaw: the
-        trigonometric sampling pass runs once per distinct heading instead of
-        once per capture.
+        trigonometric sampling pass, the side planes and the parallel-axis
+        check run once per distinct heading instead of once per capture.
         """
         yaw = body_yaw_deg + self.mount_yaw_deg
-        cached = self._fan_cache.get(yaw)
-        if cached is None:
+        fan = self._fan_cache.get(yaw)
+        if fan is None:
             directions = tuple(
                 self.frustum(position, body_yaw_deg).sample_directions(
                     self.width, self.height
@@ -161,17 +187,39 @@ class DepthCamera:
             array = np.array(
                 [(d.x, d.y, d.z) for d in directions], dtype=np.float64
             ).reshape(len(directions), 3)
-            cached = (directions, array)
-            self._fan_cache[yaw] = cached
-        return cached
+            # Pixels run column by column (height rays per azimuth), so the
+            # corners in winding order are bottom-left, top-left, top-right,
+            # bottom-right.
+            h = self.height
+            last = (self.width - 1) * h
+            corners = array[[0, h - 1, last + h - 1, last]]
+            fan = RayFan(
+                directions=directions,
+                array=array,
+                side_planes=fan_side_planes(array, corners),
+                parallel=has_parallel_component(array),
+            )
+            self._fan_cache[yaw] = fan
+        return fan
 
-    def capture(self, world: World, position: Vec3, body_yaw_deg: float = 0.0) -> DepthImage:
+    def capture(
+        self,
+        world: World,
+        position: Vec3,
+        body_yaw_deg: float = 0.0,
+        boxes: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    ) -> DepthImage:
         """Capture a depth image of the world from the given pose.
 
-        The vectorised path runs one batched slab test over every
-        ``(ray, obstacle)`` pair; the scalar twin (:meth:`_cast` per ray) is
-        kept as the reference implementation and produces bit-identical
-        depths.
+        The vectorised path runs one batched slab test over every ``(ray,
+        obstacle)`` pair the fan can see; the scalar twin (:meth:`_cast` per
+        ray) is kept as the reference implementation and produces
+        bit-identical depths.
+
+        Args:
+            boxes: the ``(lo, hi)`` candidate corner arrays of
+                ``world.obstacle_arrays_near(position, max_range)``, when the
+                caller already gathered them (the rig does, once per scan).
         """
         if not hotpath.enabled():
             frustum = self.frustum(position, body_yaw_deg)
@@ -188,20 +236,23 @@ class DepthCamera:
                 width=self.width,
                 height=self.height,
             )
-        directions, dir_array = self.ray_fan(position, body_yaw_deg)
-        box_lo, box_hi = world.obstacle_arrays_near(position, self.max_range)
+        fan = self.ray_fan(position, body_yaw_deg)
+        if boxes is None:
+            boxes = world.obstacle_arrays_near(position, self.max_range)
+        lo, hi = boxes
+        keep = boxes_in_fan(position, lo, hi, self.max_range, fan.side_planes)
         depths_array = raycast_aabbs_batch(
-            position, dir_array, box_lo, box_hi, self.max_range
+            position, fan.array, lo[keep], hi[keep], self.max_range, fan.parallel
         )
         image = DepthImage(
             origin=position,
-            directions=directions,
+            directions=fan.directions,
             depths=tuple(depths_array.tolist()),
             max_range=self.max_range,
             width=self.width,
             height=self.height,
         )
-        object.__setattr__(image, "_dir_array", dir_array)
+        object.__setattr__(image, "_dir_array", fan.array)
         return image
 
     def _cast(self, obstacles, origin: Vec3, direction: Vec3) -> float:

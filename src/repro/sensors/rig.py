@@ -88,9 +88,15 @@ class CameraRig:
         ]
 
     def capture(self, world: World, position: Vec3, body_yaw_deg: float = 0.0) -> RigScan:
-        """Capture one scan: every camera captures from the same pose."""
+        """Capture one scan: every camera captures from the same pose.
+
+        The broad-phase candidates are gathered once for the whole rig; each
+        camera then casts only at the ones its fan can see.
+        """
+        boxes = world.obstacle_arrays_near(position, self.max_range)
         images = tuple(
-            camera.capture(world, position, body_yaw_deg) for camera in self.cameras
+            camera.capture(world, position, body_yaw_deg, boxes)
+            for camera in self.cameras
         )
         return RigScan(position=position, images=images)
 

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from repro.middleware.latency import COMM_STAGES
+from repro.worlds.movers import check_keys
 
 __all__ = [
     "CameraDegradation",
@@ -109,16 +110,6 @@ def get_fault(name: str) -> Type["Fault"]:
         raise KeyError(
             f"unknown fault {name!r}; registered: {fault_names()}"
         ) from None
-
-
-def _check_keys(data: Dict[str, Any], allowed: Tuple[str, ...], context: str) -> None:
-    """Reject unknown dictionary keys with a message naming what is valid."""
-    unknown = sorted(set(data) - set(allowed))
-    if unknown:
-        raise ValueError(
-            f"unknown {context} key(s) {unknown}; expected a subset of "
-            f"{sorted(allowed)}"
-        )
 
 
 # ----------------------------------------------------------------------
@@ -213,7 +204,7 @@ class SensorDropout(Fault):
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "SensorDropout":
-        _check_keys(data, ("every_n", "start_decision"), "sensor_dropout")
+        check_keys(data, ("every_n", "start_decision"), "sensor_dropout")
         return cls(
             every_n=int(data["every_n"]),
             start_decision=int(data.get("start_decision", 0)),
@@ -258,7 +249,7 @@ class CameraDegradation(Fault):
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "CameraDegradation":
-        _check_keys(data, ("width", "height", "after_decision"), "camera_degradation")
+        check_keys(data, ("width", "height", "after_decision"), "camera_degradation")
         return cls(
             width=int(data["width"]),
             height=int(data["height"]),
@@ -329,7 +320,7 @@ class CommsDropout(Fault):
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "CommsDropout":
-        _check_keys(data, ("hop", "every_n", "retransmit_s"), "comms_dropout")
+        check_keys(data, ("hop", "every_n", "retransmit_s"), "comms_dropout")
         return cls(
             hop=str(data.get("hop", "all")),
             every_n=int(data.get("every_n", 1)),
@@ -371,7 +362,7 @@ class CommsLatencySpike(Fault):
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "CommsLatencySpike":
-        _check_keys(data, ("factor", "hop"), "comms_latency_spike")
+        check_keys(data, ("factor", "hop"), "comms_latency_spike")
         return cls(
             factor=float(data.get("factor", 4.0)),
             hop=str(data.get("hop", "all")),
@@ -411,7 +402,7 @@ class PowerBrownout(Fault):
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "PowerBrownout":
-        _check_keys(data, ("scale",), "power_brownout")
+        check_keys(data, ("scale",), "power_brownout")
         return cls(scale=float(data.get("scale", 0.5)))
 
 
@@ -450,7 +441,7 @@ class ThermalThrottle(Fault):
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ThermalThrottle":
-        _check_keys(data, ("ramp_per_decision", "max_factor"), "thermal_throttle")
+        check_keys(data, ("ramp_per_decision", "max_factor"), "thermal_throttle")
         return cls(
             ramp_per_decision=float(data.get("ramp_per_decision", 0.05)),
             max_factor=float(data.get("max_factor", 2.0)),
@@ -494,7 +485,7 @@ class StuckMover(Fault):
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "StuckMover":
-        _check_keys(data, ("mover",), "stuck_mover")
+        check_keys(data, ("mover",), "stuck_mover")
         return cls(mover=str(data.get("mover", "*")))
 
 
@@ -570,7 +561,7 @@ class FaultSchedule:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FaultSchedule":
-        _check_keys(
+        check_keys(
             data, ("fault", "params", "activate_at", "clear_at", "jitter"), "schedule"
         )
         name = data.get("fault")

@@ -276,9 +276,13 @@ class SenseNode(Node):
         orchestrator: Optional[FaultOrchestrator] = None,
         topics: PipelineTopics = ROOT_TOPICS,
         name: str = "sense",
+        observers: Optional[List[Any]] = None,
     ) -> None:
         super().__init__(name, executor)
         self.topics = topics
+        # The pipeline's passive step observers (shared list): when any is
+        # attached, the mover step and the capture each run inside a stage.
+        self.observers: List[Any] = observers if observers is not None else []
         self.rig = rig
         self.sensors = sensors
         self.environment = environment
@@ -323,14 +327,22 @@ class SenseNode(Node):
                 overrides[mover.name] = frozen
         return overrides or None
 
+    def _notify(self, hook: str, stage: str) -> None:
+        for observer in self.observers:
+            getattr(observer, hook)(self, stage)
+
     def tick(self, decision_index: int) -> None:
         """Capture one decision's sensor data and start the cascade."""
         if self.dynamics is not None:
+            if self.observers:
+                self._notify("on_stage_start", "sense.movers")
             self.dynamics.step(
                 decision_index,
                 octree=self._octree,
                 epoch_overrides=self._mover_epoch_overrides(decision_index),
             )
+            if self.observers:
+                self._notify("on_stage_end", "sense.movers")
         rig = self._active_rig(decision_index)
         dropped = self.orchestrator.enabled and self.orchestrator.sensor_dropped(
             decision_index
@@ -339,7 +351,11 @@ class SenseNode(Node):
             scan = rig.empty_scan(self._position)
             self.dropped_decisions.append(decision_index)
         else:
+            if self.observers:
+                self._notify("on_stage_start", "sense.capture")
             scan = rig.capture(self.environment.world, self._position)
+            if self.observers:
+                self._notify("on_stage_end", "sense.capture")
         estimate = self.sensors.estimate(
             self.executor.clock.now, self._position, self._velocity
         )
@@ -977,6 +993,10 @@ class DecisionPipeline:
             self.faults, seed=getattr(config, "rng_seed", 0)
         )
 
+        # Passive step observers (repro.obs taps).  Empty by default, so an
+        # uninstrumented mission pays only a few truthiness checks per
+        # decision.
+        self.observers: List[Any] = []
         topics = self.topics
         ns = self.namespace
         self.sense = SenseNode(
@@ -989,6 +1009,7 @@ class DecisionPipeline:
             orchestrator=self.orchestrator,
             topics=topics,
             name=ns.node("sense"),
+            observers=self.observers,
         )
         self.profile = ProfileNode(
             self.executor,
@@ -1039,9 +1060,6 @@ class DecisionPipeline:
             self.planning,
             self.flight,
         )
-        # Passive step observers (repro.obs taps).  Empty by default, so an
-        # uninstrumented mission pays only two truthiness checks per decision.
-        self.observers: List[Any] = []
 
     def add_tap(self, tap, energy_model=None) -> None:
         """Attach a passive observer (e.g. a trace recorder) to the graph.

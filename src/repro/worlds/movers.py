@@ -36,7 +36,7 @@ simulated seconds of motion one decision epoch represents.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.environment.world import Obstacle, World
@@ -50,6 +50,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 MOVER_KINDS = ("waypoint_loop", "crosser")
 
 Point = Tuple[float, float, float]
+
+
+def check_keys(data: Dict[str, Any], allowed: Tuple[str, ...], context: str) -> None:
+    """Reject unknown dictionary keys with a message naming what is valid."""
+    unknown = sorted(set(data) - set(allowed))
+    if unknown:
+        raise ValueError(
+            f"unknown {context} key(s) {unknown}; expected a subset of "
+            f"{sorted(allowed)}"
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,6 +134,8 @@ class MoverSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "MoverSpec":
+        """Build a spec from plain data, rejecting unknown keys."""
+        check_keys(data, MOVER_SPEC_KEYS, "mover")
         return cls(
             kind=data.get("kind", "crosser"),
             size=tuple(data.get("size", (2.0, 2.0, 2.0))),
@@ -135,6 +147,10 @@ class MoverSpec:
             span_m=float(data.get("span_m", 0.0)),
             name=str(data.get("name", "mover")),
         )
+
+
+#: MoverSpec's serialised vocabulary; anything else in a mover dict is a typo.
+MOVER_SPEC_KEYS: Tuple[str, ...] = tuple(f.name for f in fields(MoverSpec))
 
 
 class KinematicMover:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
-from repro.worlds.movers import MoverSpec
+from repro.worlds.movers import MoverSpec, check_keys
 
 #: The archetype every spec (and every pre-worlds scenario) defaults to.
 DEFAULT_ARCHETYPE = "paper_corridor"
@@ -101,6 +101,7 @@ class WorldSpec:
         """Build a spec from plain data; ``None``/``{}`` give the default world."""
         if not data:
             return cls()
+        check_keys(data, ("archetype", "seed", "params", "movers"), "world")
         seed = data.get("seed")
         return cls(
             archetype=data.get("archetype", DEFAULT_ARCHETYPE),

@@ -21,6 +21,7 @@ from repro import (
     EnvironmentConfig,
     MissionConfig,
     MissionSimulator,
+    MoverSpec,
     ObsTap,
     RoboRunRuntime,
     ScenarioSpec,
@@ -28,6 +29,7 @@ from repro import (
     build_environment,
     scenario_grid,
 )
+from repro.worlds.spec import WorldSpec
 from repro.obs.tracer import validate_chrome_trace
 from tests.simulation.test_faults_backcompat import (
     GOLDEN_CFG,
@@ -135,6 +137,42 @@ class TestTapOutputs:
         assert "# TYPE repro_decisions_total counter" in prom
         trace = json.loads(paths["trace"].read_text())
         assert validate_chrome_trace(trace) == []
+
+    def test_sense_stages_nest_inside_decisions(self):
+        spec = ScenarioSpec(
+            name="movers-obs",
+            environment=SMALL_ENV,
+            mission=SMALL_CFG,
+            world=WorldSpec(
+                movers=(
+                    MoverSpec(kind="crosser", velocity=(0.0, 2.0, 0.0),
+                              origin=(15.0, -10.0, 5.0), span_m=20.0),
+                )
+            ),
+        )
+        as_lines = lambda rec: [
+            json.dumps(r.to_dict(), sort_keys=True) for r in rec.records
+        ]
+        plain = TraceRecorder()
+        spec.run(recorder=plain)
+        tap = ObsTap()
+        tapped = TraceRecorder()
+        spec.run(recorder=tapped, taps=(tap,))
+        tap.finish()
+        assert as_lines(tapped) == as_lines(plain)
+        document = tap.tracer.to_chrome_trace()
+        assert validate_chrome_trace(document) == []
+        durations = tap.tracer.span_durations()
+        decisions = durations["decision"]["count"]
+        assert durations["sense.movers"]["count"] == decisions
+        assert durations["sense.capture"]["count"] == decisions
+        # Each stage opens and closes inside an open decision span.
+        depth = 0
+        for event in document["traceEvents"]:
+            if event.get("name") == "decision":
+                depth += 1 if event["ph"] == "B" else -1
+            elif event.get("name", "").startswith("sense.") and event["ph"] in "BE":
+                assert depth == 1, f"{event['name']} outside a decision span"
 
     def test_fleet_mission_gets_one_lane_per_drone(self):
         spec = ScenarioSpec(

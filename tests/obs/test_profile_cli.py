@@ -64,6 +64,12 @@ class TestMain:
         assert "| span |" in out
         assert "decision" in out
 
+    def test_sense_capture_is_a_hotspot(self, grid_file, tmp_path, capsys):
+        code = main([str(grid_file), "--out-dir", str(tmp_path / "o")])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "| sense.capture |" in out
+
     def test_spec_selection_by_name(self, grid_file, tmp_path):
         out_dir = tmp_path / "o"
         code = main([

@@ -211,6 +211,24 @@ class TestWorldSpec:
         assert WorldSpec.from_dict({}) == WorldSpec()
         assert not WorldSpec(archetype="forest").is_default
 
+    def test_unknown_keys_rejected(self):
+        with pytest.raises(ValueError) as excinfo:
+            WorldSpec.from_dict({"archtype": "forest"})
+        message = str(excinfo.value)
+        assert "'archtype'" in message and "'archetype'" in message
+        with pytest.raises(ValueError, match="sise"):
+            WorldSpec.from_dict({"movers": [{"velocity": [1, 0, 0], "sise": [1, 1, 1]}]})
+
+    def test_example_grids_still_load(self):
+        from pathlib import Path
+
+        from repro.report import load_grid_file
+
+        grids = sorted((Path(__file__).parents[2] / "examples").glob("*.json"))
+        assert grids
+        for grid in grids:
+            assert load_grid_file(grid), f"{grid.name} holds no specs"
+
     def test_validation(self):
         with pytest.raises(ValueError):
             WorldSpec(archetype="")

@@ -51,6 +51,16 @@ class TestMoverSpec:
         for spec in (CROSSER, LOOP):
             assert MoverSpec.from_dict(spec.to_dict()) == spec
 
+    def test_unknown_keys_rejected(self):
+        typo = {"kind": "crosser", "velocity": [1, 0, 0], "spam_m": 30, "sise": [9, 9, 9]}
+        with pytest.raises(ValueError) as excinfo:
+            MoverSpec.from_dict(typo)
+        message = str(excinfo.value)
+        assert "'sise'" in message and "'spam_m'" in message
+        assert "'size'" in message and "'span_m'" in message
+        with pytest.raises(ValueError, match="spam_m"):
+            WorldSpec(movers=(typo,))
+
 
 class TestKinematics:
     def test_crosser_position_after_n_epochs_is_exact(self):
