@@ -2,20 +2,12 @@
 
 "Control ensures that the MAV closely follows the generated trajectory while
 guaranteeing stability.  We use standard PID control" (§III-A).  Control is
-not a RoboRun knob — neither precision nor volume operators touch it — so the
-reproduction provides a straightforward cascaded PID position/velocity
-controller adequate for tracking the smoother's trajectories on the kinematic
-drone model.
+not a RoboRun knob — neither precision nor volume operators touch it — so
+the reproduction does not model the PID loop: the drone tracks the
+smoother's trajectories on the kinematic drone model with a pure-pursuit
+velocity follower (:class:`PurePursuitFollower`).
 """
 
-from repro.control.flight_controller import FlightController
 from repro.control.follower import PurePursuitFollower
-from repro.control.pid import PIDController, PIDGains, Vec3PID
 
-__all__ = [
-    "FlightController",
-    "PIDController",
-    "PIDGains",
-    "PurePursuitFollower",
-    "Vec3PID",
-]
+__all__ = ["PurePursuitFollower"]

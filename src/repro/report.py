@@ -18,8 +18,8 @@ Usage::
     python -m repro.report --grid examples/grid_small.json \
         --workers 4 --csv-dir reports/csv --out reports/small.md
 
-    # Async work-stealing execution with retry/timeout, resumable
-    python -m repro.report --grid big_grid.json --mode async \
+    # Retry/timeout knobs of the (default) async engine, resumable
+    python -m repro.report --grid big_grid.json \
         --spec-timeout 300 --max-attempts 3 --resume
 
 Grid files take one of three JSON shapes:
@@ -43,7 +43,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis.report import CampaignReport
 from repro.obs.log import configure_logging, get_logger
-from repro.simulation.campaign import CampaignRunner
+from repro.simulation.campaign import CAMPAIGN_MODES, CampaignRunner
 from repro.simulation.scenario import ScenarioSpec, scenario_grid
 
 log = get_logger("report")
@@ -128,16 +128,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="campaign pool size (default: one per core; 1 = serial)",
+        help="campaign worker count (default: one per core; 1 = serial)",
     )
     parser.add_argument(
         "--mode",
-        choices=["serial", "sync", "async"],
+        choices=CAMPAIGN_MODES,
         default=None,
         help=(
-            "campaign execution mode: serial (inline), sync (Pool.map "
-            "barrier) or async (persistent work-stealing workers with "
-            "retry/timeout); default: $REPRO_CAMPAIGN_MODE or sync"
+            "campaign execution mode: serial (inline) or async (persistent "
+            "work-stealing workers with retry/timeout); default: "
+            "$REPRO_CAMPAIGN_MODE or async"
         ),
     )
     parser.add_argument(

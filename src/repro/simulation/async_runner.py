@@ -1,10 +1,11 @@
 """Asynchronous campaign engine: persistent work-stealing workers.
 
-The sync campaign path (:meth:`~repro.simulation.campaign.CampaignRunner.
-_run_pool`) is one ``Pool.map`` barrier: every spec is assigned up front, a
-fast worker idles while a slow archetype finishes, and one hard-crashed
-worker (SIGKILL, OOM-kill, segfault in an extension) wedges the whole
-campaign.  This module is the GenTen-style asynchronous alternative:
+This is the one parallel engine behind
+:class:`~repro.simulation.campaign.CampaignRunner`.  A ``Pool.map`` barrier
+would assign every spec up front, so a fast worker idles while a slow
+archetype finishes, and one hard-crashed worker (SIGKILL, OOM-kill,
+segfault in an extension) wedges the whole campaign.  This engine is the
+GenTen-style asynchronous alternative:
 
 * **Work stealing** — N persistent worker processes pull ``(index,
   payload)`` tasks from one shared queue, so mission-length skew between
@@ -21,10 +22,10 @@ campaign.  This module is the GenTen-style asynchronous alternative:
   outlived the budget is killed outright and its spec goes through the
   same retry/exclusion path.
 
-Determinism is unchanged from the sync path: rows are keyed by spec index
-and reassembled in spec order, and each trace file depends only on its spec
-(a retried attempt truncates and rewrites the identical bytes), so serial,
-sync-pool and async runs of the same grid agree byte-for-byte.
+Determinism matches the serial path: rows are keyed by spec index and
+reassembled in spec order, and each trace file depends only on its spec (a
+retried attempt truncates and rewrites the identical bytes), so serial and
+async runs of the same grid agree byte-for-byte.
 """
 
 from __future__ import annotations

@@ -4,19 +4,17 @@ The paper's evaluation flies 27 environments per design; the ROADMAP's north
 star is "as many scenarios as you can imagine".  A :class:`CampaignRunner`
 fans a list of :class:`~repro.simulation.scenario.ScenarioSpec`s across
 worker processes and folds the per-mission metrics into a
-:class:`CampaignResult`.  Three execution modes share the one ``run()``
-API (selected by ``mode=`` or the ``REPRO_CAMPAIGN_MODE`` environment
+:class:`CampaignResult`.  Two execution modes share the one ``run()`` API
+(selected by ``mode=`` or the ``REPRO_CAMPAIGN_MODE`` environment
 variable):
 
 * ``serial`` — every spec inline in this process (debugging, determinism
   checks);
-* ``sync`` — a ``multiprocessing.Pool.map`` barrier, the synchronous
-  fan-out/fan-in parallelism GenTen-style sweep drivers use (the default);
 * ``async`` — persistent work-stealing workers pulling specs from a shared
   queue and streaming rows back as they finish
   (:mod:`repro.simulation.async_runner`), with per-spec wall-clock
   timeouts, bounded retry for specs whose worker died, and poisoned-spec
-  exclusion.
+  exclusion (the default).
 
 Determinism: specs carry their own seeds, workers receive plain dictionaries
 (no shared state), and results are collected in spec order regardless of
@@ -27,7 +25,6 @@ JSONL trace — is identical whichever mode runs it.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import traceback as _traceback
 from dataclasses import dataclass, field
@@ -39,7 +36,7 @@ from repro.simulation.scenario import ScenarioSpec
 
 
 #: The execution modes :class:`CampaignRunner` understands.
-CAMPAIGN_MODES = ("serial", "sync", "async")
+CAMPAIGN_MODES = ("serial", "async")
 
 #: Environment variable consulted when no explicit ``mode=`` is given.
 CAMPAIGN_MODE_ENV = "REPRO_CAMPAIGN_MODE"
@@ -55,6 +52,22 @@ def _error_record(spec_dict: Dict[str, Any], exc: BaseException) -> Dict[str, st
     }
 
 
+def _error_mission_record(spec_dict: Dict[str, Any], error: Dict[str, str]) -> Any:
+    """The trace-file :class:`~repro.analysis.trace.MissionRecord` of a failed spec."""
+    from repro.analysis.trace import MissionRecord
+
+    environment = dict(spec_dict.get("environment", {}))
+    return MissionRecord(
+        spec_name=spec_dict.get("name", "?"),
+        design=spec_dict.get("design", "?"),
+        seed=int(environment.get("seed", 0)),
+        environment=environment,
+        metrics={},
+        error=error,
+        spec=spec_dict,
+    )
+
+
 def write_error_trace(
     trace_dir: Any, spec_dict: Dict[str, Any], error: Dict[str, str]
 ) -> None:
@@ -67,21 +80,9 @@ def write_error_trace(
     its partial-failures section.
     """
     from repro.analysis.io import TraceWriter, trace_path
-    from repro.analysis.trace import MissionRecord
 
-    environment = dict(spec_dict.get("environment", {}))
     with TraceWriter(trace_path(trace_dir, str(spec_dict.get("name", "unnamed")))) as writer:
-        writer.write(
-            MissionRecord(
-                spec_name=spec_dict.get("name", "?"),
-                design=spec_dict.get("design", "?"),
-                seed=int(environment.get("seed", 0)),
-                environment=environment,
-                metrics={},
-                error=error,
-                spec=spec_dict,
-            )
-        )
+        writer.write(_error_mission_record(spec_dict, error))
 
 
 def _row_from_trace(path: Any, spec_dict: Dict[str, Any]) -> Dict[str, Any]:
@@ -102,27 +103,22 @@ def _row_from_trace(path: Any, spec_dict: Dict[str, Any]) -> Dict[str, Any]:
 
 
 #: Worker-side heartbeat sink.  ``None`` (the default) means telemetry is
-#: off and the worker touches none of the heartbeat code.  Pool workers get
+#: off and the worker touches none of the heartbeat code.  Async workers get
 #: theirs installed by :func:`_telemetry_initializer`; serial campaigns set
 #: it around the inline loop.
 _worker_telemetry_sink: Optional[Any] = None
 
 
 def _telemetry_initializer(queue: Any) -> None:
-    """Pool initializer: point this worker's heartbeats at the parent queue."""
+    """Worker initializer: point this worker's heartbeats at the parent queue."""
     global _worker_telemetry_sink
     _worker_telemetry_sink = queue
-
-
-#: Queue marker the sync pool's completion callback emits so the parent's
-#: heartbeat drain can block on the queue instead of busy-polling the map.
-_DRAIN_SENTINEL = {"__campaign__": "drain-stop"}
 
 
 def _run_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Worker entry point: fly one scenario described as plain data.
 
-    Runs in a pool worker (or inline for serial campaigns); everything that
+    Runs in an async worker (or inline for serial campaigns); everything that
     crosses the process boundary is a dictionary, so no live object graph is
     pickled.  When the caller asked to keep full results, the heavyweight
     pipeline (bus, executor, node callbacks) is stripped first.
@@ -186,20 +182,7 @@ def _run_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
         if emitter is not None:
             emitter.emit("error", error=f"{type(exc).__name__}: {exc}")
         if writer is not None:
-            from repro.analysis.trace import MissionRecord
-
-            environment = dict(spec_dict.get("environment", {}))
-            writer.write(
-                MissionRecord(
-                    spec_name=spec_dict.get("name", "?"),
-                    design=spec_dict.get("design", "?"),
-                    seed=int(environment.get("seed", 0)),
-                    environment=environment,
-                    metrics={},
-                    error=error,
-                    spec=spec_dict,
-                )
-            )
+            writer.write(_error_mission_record(spec_dict, error))
     finally:
         if writer is not None:
             writer.close()
@@ -352,10 +335,9 @@ class CampaignRunner:
             process — useful for debugging and for determinism checks
             against a parallel run.
         mode: one of :data:`CAMPAIGN_MODES` — ``serial`` forces the inline
-            path, ``sync`` is the classic ``Pool.map`` barrier, ``async``
-            is the persistent work-stealing engine
+            path, ``async`` is the persistent work-stealing engine
             (:mod:`repro.simulation.async_runner`).  ``None`` reads
-            ``REPRO_CAMPAIGN_MODE`` and falls back to ``sync``.
+            ``REPRO_CAMPAIGN_MODE`` and falls back to ``async``.
         spec_timeout_s: async mode only — wall-clock budget per spec
             attempt; a worker over budget is killed and the spec retried.
             ``None`` (the default) disables the timeout.
@@ -376,7 +358,7 @@ class CampaignRunner:
         if max_workers is not None and max_workers < 0:
             raise ValueError("max_workers cannot be negative")
         if mode is None:
-            mode = os.environ.get(CAMPAIGN_MODE_ENV) or "sync"
+            mode = os.environ.get(CAMPAIGN_MODE_ENV) or "async"
         mode = mode.lower()
         if mode not in CAMPAIGN_MODES:
             raise ValueError(
@@ -507,12 +489,8 @@ class CampaignRunner:
         heartbeats: List[Dict[str, Any]] = []
         if workers <= 1 or len(payloads) <= 1:
             flown = self._run_serial(payloads, telemetry, progress, heartbeats)
-        elif self.mode == "async":
-            flown = self._run_async(
-                payloads, workers, telemetry, progress, heartbeats
-            )
         else:
-            flown = self._run_pool(
+            flown = self._run_async(
                 payloads, workers, telemetry, progress, heartbeats
             )
 
@@ -558,60 +536,6 @@ class CampaignRunner:
         finally:
             _worker_telemetry_sink = previous
 
-    def _run_pool(
-        self,
-        payloads: List[Dict[str, Any]],
-        workers: int,
-        telemetry: bool,
-        progress: Optional[Any],
-        heartbeats: List[Dict[str, Any]],
-    ) -> List[Dict[str, Any]]:
-        """Fan payloads across a pool, draining heartbeats while it runs."""
-        # The platform-default start method: fork on Linux, spawn on
-        # macOS/Windows (forcing fork there crashes under framework
-        # threads).  Spawn works because workers receive plain
-        # dictionaries, the worker function is module-level and the
-        # parent's sys.path is propagated to the children.
-        context = multiprocessing.get_context()
-        if not telemetry:
-            with context.Pool(processes=workers) as pool:
-                return pool.map(_run_payload, payloads)
-        # A manager queue (not a raw mp.Queue) because it survives pickling
-        # into pool initializers under every start method.
-        with multiprocessing.Manager() as manager:
-            queue = manager.Queue()
-            with context.Pool(
-                processes=workers,
-                initializer=_telemetry_initializer,
-                initargs=(queue,),
-            ) as pool:
-                # The map's completion callback drops a sentinel onto the
-                # heartbeat queue, so the parent blocks on one queue instead
-                # of busy-polling pending.ready() every 100 ms; the 1 s
-                # fallback timeout only matters if the callback is lost
-                # (e.g. the pool broke before it could fire).
-                pending = pool.map_async(
-                    _run_payload,
-                    payloads,
-                    callback=lambda _: queue.put(_DRAIN_SENTINEL),
-                    error_callback=lambda _: queue.put(_DRAIN_SENTINEL),
-                )
-                import queue as _queue_mod
-
-                while not pending.ready():
-                    try:
-                        record = queue.get(block=True, timeout=1.0)
-                    except _queue_mod.Empty:
-                        continue
-                    if record == _DRAIN_SENTINEL:
-                        break
-                    heartbeats.append(record)
-                    if progress is not None:
-                        progress(record)
-                rows = pending.get()
-            self._drain_queue(queue, heartbeats, progress, timeout=None)
-        return rows
-
     def _run_async(
         self,
         payloads: List[Dict[str, Any]],
@@ -632,35 +556,6 @@ class CampaignRunner:
         return engine.run(
             payloads, telemetry=telemetry, progress=progress, heartbeats=heartbeats
         )
-
-    @staticmethod
-    def _drain_queue(
-        queue: Any,
-        heartbeats: List[Dict[str, Any]],
-        progress: Optional[Any],
-        timeout: Optional[float],
-    ) -> None:
-        """Move queued heartbeat dicts into ``heartbeats`` (and progress).
-
-        ``timeout`` is the blocking budget for the *first* get; once the
-        queue turns up empty the drain returns immediately.
-        """
-        import queue as _queue_mod
-
-        block = timeout is not None
-        while True:
-            try:
-                record = queue.get(block=block, timeout=timeout)
-            except _queue_mod.Empty:
-                return
-            block = False
-            if record == _DRAIN_SENTINEL:
-                # The map's completion callback can race the ready() check;
-                # a leftover sentinel is drain plumbing, not telemetry.
-                continue
-            heartbeats.append(record)
-            if progress is not None:
-                progress(record)
 
 
 class _InlineSink:

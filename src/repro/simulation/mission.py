@@ -8,7 +8,9 @@ per-decision traces the analysis layer turns into the paper's figures.
 The simulator is a thin façade over the node-based decision pipeline
 (:mod:`repro.simulation.pipeline`): it wires the six pipeline nodes —
 sense, profile, governor, perception, planning, flight — over the middleware
-bus, drives one sensor tick per decision, drains the executor until the
+bus and flies itself as a fleet of one through :func:`_fly`, the one mission
+loop (shared with :class:`~repro.simulation.fleet.FleetSimulator`).  The
+loop drives one sensor tick per decision, drains the executor until the
 cascade completes, and owns only the mission-level policy: termination
 (goal, collision, plan-failure and time limits), distance integration and
 metric assembly.  Stage logic, latency charging and the comm hops all live
@@ -17,6 +19,7 @@ in the nodes.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Protocol, Sequence
 
@@ -28,7 +31,13 @@ from repro.core.profilers import ProfilerSuite, SpaceProfile
 from repro.dynamics.drone import QuadrotorKinematics
 from repro.dynamics.energy import EnergyModel
 from repro.environment.generator import GeneratedEnvironment
+from repro.environment.world import Obstacle, World
+from repro.geometry.aabb import AABB
+from repro.geometry.vec3 import Vec3
+from repro.middleware.clock import SimClock
+from repro.middleware.executor import Executor
 from repro.middleware.latency import LatencyLedger
+from repro.middleware.topic import TopicBus, TopicNamespace
 from repro.perception.octomap import OccupancyOctree
 from repro.perception.point_cloud import PointCloudKernel
 from repro.planning.rrt_star import RRTStarConfig, RRTStarPlanner
@@ -41,8 +50,6 @@ from repro.simulation.pipeline import DecisionPipeline
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.recorder import TraceRecorder
-    from repro.middleware.executor import Executor
-    from repro.middleware.topic import TopicNamespace
 
 
 class Runtime(Protocol):
@@ -237,20 +244,18 @@ class MissionSimulator:
     # ------------------------------------------------------------------
     def build_pipeline(
         self,
+        executor: Executor,
         *,
-        namespace: Optional["TopicNamespace"] = None,
-        executor: Optional["Executor"] = None,
+        namespace: Optional[TopicNamespace] = None,
         drone_id: int = 0,
     ) -> DecisionPipeline:
         """Wire a fresh node graph over the simulator's kernels and models.
 
-        Without arguments each call creates a new bus, executor, clock and
-        accounting; the pipeline shares the simulator's operator set, so the
-        occupancy map carries over between pipelines built by the same
-        simulator (exactly as repeated ``run()`` calls shared it before the
-        node refactor).  The fleet simulator passes a shared ``executor``
-        plus a per-drone ``namespace``/``drone_id`` so N graphs coexist on
-        one bus.
+        The graph runs on the caller's ``executor`` (and so on its bus and
+        clock), with fresh accounting; it shares the simulator's operator
+        set, so the occupancy map carries over between pipelines built by
+        the same simulator.  A fleet passes one shared ``executor`` plus a
+        per-drone ``namespace``/``drone_id`` so N graphs coexist on one bus.
         """
         return DecisionPipeline(
             environment=self.environment,
@@ -264,8 +269,8 @@ class MissionSimulator:
             sensors=self.sensors,
             follower=self.follower,
             faults=self.faults,
-            namespace=namespace,
             executor=executor,
+            namespace=namespace,
             drone_id=drone_id,
         )
 
@@ -279,6 +284,8 @@ class MissionSimulator:
     ) -> MissionResult:
         """Fly the mission and return its metrics and traces.
 
+        The mission flies as a fleet of one through the shared mission loop.
+
         Args:
             recorder: optional :class:`~repro.analysis.recorder.
                 TraceRecorder`; when given it is attached to the pipeline as
@@ -289,72 +296,224 @@ class MissionSimulator:
                 :class:`~repro.obs.tap.ObsTap`), attached the same way.
                 Empty (the default) adds no instrumentation work at all.
         """
-        cfg = self.config
-        env = self.environment
-        pipeline = self.build_pipeline()
+        result = _fly([self], recorder, taps).results[0]
         if recorder is not None:
-            pipeline.add_tap(recorder, energy_model=self.energy_model)
-        for tap in taps:
-            pipeline.add_tap(tap, energy_model=self.energy_model)
-        clock = pipeline.clock
+            recorder.on_mission_end(result.metrics)
+        return result
 
-        distance_travelled = 0.0
-        collided = False
-        reached_goal = False
-
-        for decision_index in range(cfg.max_decisions):
-            if clock.now > cfg.max_mission_time_s:
-                break
-
-            outcome = pipeline.step(decision_index)
-            distance_travelled += outcome.flown
-            clock.advance(outcome.interval)
-
-            if outcome.hit:
-                collided = True
-                break
-            if outcome.state.position.distance_to(env.goal) <= cfg.goal_tolerance_m:
-                reached_goal = True
-                break
-            if (
-                pipeline.planning.consecutive_plan_failures
-                >= cfg.max_consecutive_plan_failures
-            ):
-                break
-
+    def _result(
+        self,
+        pipeline: DecisionPipeline,
+        distance: float,
+        mission_time: float,
+        hit: bool,
+        reached_goal: bool,
+    ) -> MissionResult:
+        """Assemble the flown pipeline's metrics into a MissionResult."""
         traces = pipeline.traces
         ledger = pipeline.ledger
-        mission_time = clock.now
-        mean_velocity = distance_travelled / mission_time if mission_time > 0 else 0.0
+        mean_velocity = distance / mission_time if mission_time > 0 else 0.0
         energy = self.energy_model.mission_energy(
             flight_time_s=mission_time,
             mean_speed=mean_velocity,
             compute_busy_s=pipeline.cpu.total_busy_seconds(),
         )
         latencies = ledger.end_to_end_latencies()
-        deadline_misses = sum(1 for t in traces if not t.deadline_met)
         metrics = MissionMetrics(
             design=self.runtime.name,
-            success=reached_goal and not collided,
-            collided=collided,
+            success=reached_goal and not hit,
+            collided=hit,
             mission_time_s=mission_time,
-            distance_travelled_m=distance_travelled,
+            distance_travelled_m=distance,
             mean_velocity_mps=mean_velocity,
             energy_j=energy,
             mean_cpu_utilization=pipeline.cpu.mean_utilization(),
             decision_count=len(traces),
             median_latency_s=ledger.median_latency(),
             max_latency_s=max(latencies) if latencies else 0.0,
-            deadline_miss_rate=deadline_misses / len(traces) if traces else 0.0,
+            deadline_miss_rate=_deadline_misses(traces) / len(traces) if traces else 0.0,
             replan_count=self.operators.plan_count,
         )
-        if recorder is not None:
-            recorder.on_mission_end(metrics)
         return MissionResult(
             metrics=metrics,
             traces=traces,
             ledger=ledger,
-            environment=env,
+            environment=self.environment,
             design=self.runtime.name,
             pipeline=pipeline,
         )
+
+
+def _deadline_misses(traces: Sequence[DecisionTrace]) -> int:
+    """Number of decisions that missed their deadline."""
+    return sum(1 for t in traces if not t.deadline_met)
+
+
+@dataclass
+class _Flight:
+    """What one pass of the mission loop produced.
+
+    Attributes:
+        results: one :class:`MissionResult` per drone, in drone-id order.
+        min_separation_m: smallest pairwise drone distance at any epoch
+            boundary (``None`` with fewer than two drones).
+        airspace_conflicts: epochs during which some pair of active drones
+            was closer than the conflict distance.
+    """
+
+    results: List[MissionResult]
+    min_separation_m: Optional[float] = None
+    airspace_conflicts: int = 0
+
+
+def _fly(
+    simulators: Sequence[MissionSimulator],
+    recorder: Optional["TraceRecorder"] = None,
+    taps: Sequence = (),
+    *,
+    peer_box_m: Optional[float] = None,
+    conflict_distance_m: Optional[float] = None,
+) -> _Flight:
+    """The mission loop: fly ``simulators`` as one lock-stepped fleet.
+
+    Every drone's pipeline runs on one shared clock, bus and executor.  Each
+    epoch, every active drone (in drone-id order) steps one full decision
+    cascade; the clock then advances by the slowest drone's interval.  A
+    drone terminates on collision, then goal, then its plan-failure streak,
+    and leaves the airspace.  With more than one drone each drone first sees
+    its active peers as ``peer_box_m`` boxes (:func:`_expose_peers`), and
+    pairs closer than ``conflict_distance_m`` count as airspace conflicts;
+    both are required then.  A single drone flies on the root topic
+    namespace with none of that.
+
+    ``recorder`` and ``taps`` are attached to every pipeline; the caller
+    sends the recorder its mission record.
+    """
+    n = len(simulators)
+    cfg = simulators[0].config
+    world = simulators[0].environment.world
+    clock = SimClock()
+    executor = Executor(TopicBus(), clock, record_dispatch=True)
+    pipelines: List[DecisionPipeline] = []
+    for drone_id, sim in enumerate(simulators):
+        namespace = TopicNamespace() if n == 1 else TopicNamespace.for_drone(drone_id)
+        pipeline = sim.build_pipeline(executor, namespace=namespace, drone_id=drone_id)
+        if recorder is not None:
+            pipeline.add_tap(recorder, energy_model=sim.energy_model)
+        for tap in taps:
+            pipeline.add_tap(tap, energy_model=sim.energy_model)
+        pipelines.append(pipeline)
+
+    distance = [0.0] * n
+    collided = [False] * n
+    reached = [False] * n
+    finish_time: List[Optional[float]] = [None] * n
+    last_outcome = [None] * n
+    peer_marks: List[List[tuple]] = [[] for _ in range(n)]
+    active = list(range(n))
+    flight = _Flight(results=[])
+
+    for epoch in range(cfg.max_decisions):
+        if clock.now > cfg.max_mission_time_s:
+            break
+        if not active:
+            break
+
+        # Deterministic round-robin: each drone's cascade fully drains
+        # (step() spins the shared executor dry) before the next starts.
+        intervals = []
+        for drone_id in active:
+            if n > 1:
+                peer_marks[drone_id] = _expose_peers(
+                    world,
+                    simulators[drone_id].operators.octree,
+                    [pipelines[p] for p in active if p != drone_id],
+                    peer_marks[drone_id],
+                    peer_box_m,
+                )
+            outcome = pipelines[drone_id].step(epoch)
+            last_outcome[drone_id] = outcome
+            distance[drone_id] += outcome.flown
+            intervals.append(outcome.interval)
+        clock.advance(max(intervals))
+
+        if len(active) >= 2:
+            positions = [pipelines[d].flight.state.position for d in active]
+            epoch_min = min(
+                a.distance_to(b) for a, b in itertools.combinations(positions, 2)
+            )
+            if flight.min_separation_m is None or epoch_min < flight.min_separation_m:
+                flight.min_separation_m = epoch_min
+            if epoch_min < conflict_distance_m:
+                flight.airspace_conflicts += 1
+
+        # Per-drone termination: collision, then goal, then the plan-failure
+        # streak.  Finished drones leave the airspace (peers stop seeing
+        # them next epoch).
+        for drone_id in list(active):
+            outcome = last_outcome[drone_id]
+            goal = simulators[drone_id].environment.goal
+            done = False
+            if outcome.hit:
+                collided[drone_id] = True
+                done = True
+            elif outcome.state.position.distance_to(goal) <= cfg.goal_tolerance_m:
+                reached[drone_id] = True
+                done = True
+            elif (
+                pipelines[drone_id].planning.consecutive_plan_failures
+                >= cfg.max_consecutive_plan_failures
+            ):
+                done = True
+            if done:
+                finish_time[drone_id] = clock.now
+                active.remove(drone_id)
+
+    # Leave the shared world clean: no stale agent boxes or peer voxels.
+    if n > 1:
+        world.set_agent_obstacles([])
+        for drone_id in range(n):
+            if peer_marks[drone_id]:
+                simulators[drone_id].operators.octree.clear_cells(peer_marks[drone_id])
+
+    for drone_id, sim in enumerate(simulators):
+        flight.results.append(
+            sim._result(
+                pipelines[drone_id],
+                distance[drone_id],
+                clock.now if finish_time[drone_id] is None else finish_time[drone_id],
+                collided[drone_id],
+                reached[drone_id],
+            )
+        )
+    return flight
+
+
+def _expose_peers(
+    world: World,
+    octree: OccupancyOctree,
+    peers: Sequence[DecisionPipeline],
+    previous_marks: List[tuple],
+    peer_box_m: float,
+) -> List[tuple]:
+    """Fold a drone's active peers into its view of the shared world.
+
+    Sets the world's agent obstacle layer (ground truth) to the peers'
+    boxes and re-marks them into the drone's octree through the incremental
+    spatial index, clearing ``previous_marks`` first.  Returns the new marks.
+    """
+    size = Vec3(peer_box_m, peer_box_m, peer_box_m)
+    obstacles = [
+        Obstacle(
+            AABB.from_center(peer.flight.state.position, size),
+            name=f"drone_{peer.drone_id}",
+        )
+        for peer in peers
+    ]
+    world.set_agent_obstacles(obstacles)
+    if previous_marks:
+        octree.clear_cells(previous_marks)
+    keys: List[tuple] = []
+    for obstacle in obstacles:
+        keys.extend(octree.mark_box(obstacle.box))
+    return keys

@@ -56,12 +56,11 @@ from repro.dynamics.drone import DroneState, QuadrotorKinematics
 from repro.environment.generator import GeneratedEnvironment
 from repro.geometry.aabb import AABB
 from repro.geometry.vec3 import Vec3
-from repro.middleware.clock import SimClock
 from repro.middleware.executor import Executor
 from repro.middleware.latency import LatencyLedger, compute_seconds
 from repro.middleware.message import Message
 from repro.middleware.node import Node
-from repro.middleware.topic import TopicBus, TopicNamespace
+from repro.middleware.topic import TopicNamespace
 from repro.planning.trajectory import Trajectory
 from repro.sensors.rig import CameraRig, RigScan
 from repro.sensors.state_sensors import StateEstimate, StateSensorSuite
@@ -944,10 +943,11 @@ class FlightNode(Node):
 class DecisionPipeline:
     """The six pipeline nodes wired over one bus, driven one decision at a time.
 
-    The pipeline owns the run-scoped accounting (clock, ledger, CPU tracker,
+    The pipeline owns the run-scoped accounting (ledger, CPU tracker,
     traces) and exposes :meth:`step` — publish one sensor tick and drain the
-    executor until the cascade completes.  The mission façade owns mission-
-    level policy: termination, distance integration and metric assembly.
+    executor until the cascade completes.  The mission loop owns the clock,
+    bus and executor plus the mission-level policy: termination, distance
+    integration and metric assembly.
     """
 
     def __init__(
@@ -964,24 +964,18 @@ class DecisionPipeline:
         follower: PurePursuitFollower,
         faults: Optional[FaultSet] = None,
         *,
+        executor: Executor,
         namespace: Optional[TopicNamespace] = None,
-        executor: Optional[Executor] = None,
         drone_id: int = 0,
     ) -> None:
         self.environment = environment
         self.namespace = namespace or TopicNamespace()
         self.drone_id = drone_id
-        if executor is None:
-            # Stand-alone (single-drone) pipeline: owns its clock and bus.
-            self.clock = SimClock()
-            self.bus = TopicBus()
-            self.executor = Executor(self.bus, self.clock, record_dispatch=True)
-        else:
-            # Fleet member: N pipelines share one clock/bus/executor, each
-            # publishing inside its own topic namespace.
-            self.executor = executor
-            self.bus = executor.bus
-            self.clock = executor.clock
+        # The mission loop owns the clock/bus/executor; a fleet's N
+        # pipelines share them, each publishing inside its own namespace.
+        self.executor = executor
+        self.bus = executor.bus
+        self.clock = executor.clock
         self.topics = PipelineTopics.for_namespace(self.namespace)
         self.ledger = LatencyLedger()
         self.cpu = CpuUtilizationTracker(sensor_period_s=config.sensor_period_s)

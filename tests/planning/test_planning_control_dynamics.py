@@ -5,9 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.control.flight_controller import FlightController
 from repro.control.follower import PurePursuitFollower
-from repro.control.pid import PIDController, PIDGains, Vec3PID
 from repro.dynamics.drone import DroneState, QuadrotorKinematics
 from repro.dynamics.energy import EnergyModel
 from repro.dynamics.stopping import StoppingDistanceModel
@@ -185,38 +183,6 @@ class TestSmoothing:
 
 
 class TestControl:
-    def test_pid_converges_toward_setpoint(self):
-        pid = PIDController(PIDGains(kp=1.0, ki=0.1, kd=0.0), output_limit=5.0)
-        value = 0.0
-        for _ in range(200):
-            value += pid.update(10.0 - value, dt=0.1) * 0.1
-        assert value == pytest.approx(10.0, abs=1.0)
-
-    def test_pid_output_clamped(self):
-        pid = PIDController(PIDGains(kp=100.0), output_limit=2.0)
-        assert abs(pid.update(50.0, 0.1)) <= 2.0
-
-    def test_pid_rejects_bad_dt(self):
-        pid = PIDController(PIDGains(kp=1.0))
-        with pytest.raises(ValueError):
-            pid.update(1.0, 0.0)
-
-    def test_vec3_pid(self):
-        pid = Vec3PID(PIDGains(kp=1.0))
-        out = pid.update(Vec3(1, -2, 0.5), dt=0.1)
-        assert out.x > 0 and out.y < 0
-
-    def test_flight_controller_tracks_and_clamps(self):
-        traj = Trajectory(
-            [
-                TrajectoryPoint(0.0, Vec3(0, 0, 5), Vec3(2, 0, 0)),
-                TrajectoryPoint(5.0, Vec3(10, 0, 5), Vec3(2, 0, 0)),
-            ]
-        )
-        controller = FlightController(max_velocity=1.5)
-        command = controller.velocity_command(traj, Vec3(0, 0, 5), time=0.0, dt=0.1)
-        assert command.norm() <= 1.5 + 1e-9
-
     def test_pure_pursuit_moves_along_path(self):
         traj = Trajectory(
             [

@@ -1,11 +1,11 @@
 """The async campaign engine: work stealing, chaos, timeouts, resume.
 
-The acceptance bar is the sync path's own guarantee carried over: serial,
-sync-pool and async runs of the same grid produce byte-identical per-spec
-JSONL traces and identical aggregates — plus the robustness the sync pool
-cannot offer: a SIGKILLed worker neither hangs nor aborts the campaign, a
-poisoned spec is excluded as an error outcome after bounded retries, and
-``resume=True`` skips specs whose traces already completed.
+The acceptance bar: serial and async runs of the same grid produce
+byte-identical per-spec JSONL traces and identical aggregates — plus
+robustness a ``Pool.map`` barrier cannot offer: a SIGKILLed worker neither
+hangs nor aborts the campaign, a poisoned spec is excluded as an error
+outcome after bounded retries, and ``resume=True`` skips specs whose traces
+already completed.
 
 The chaos tests monkeypatch ``ScenarioSpec.run`` in the parent and rely on
 ``fork`` propagating the patch into the workers, so they are skipped on
@@ -30,7 +30,13 @@ from repro import (
     ScenarioSpec,
 )
 from repro.analysis.io import is_complete_trace, trace_path
-from repro.simulation.campaign import CAMPAIGN_MODE_ENV, CampaignResult, ScenarioOutcome
+from repro.simulation.campaign import (
+    CAMPAIGN_MODE_ENV,
+    CampaignResult,
+    ScenarioOutcome,
+    _run_payload,
+    write_error_trace,
+)
 
 TINY_ENV = EnvironmentConfig(
     obstacle_density=0.2, obstacle_spread=25.0, goal_distance=40.0, seed=7
@@ -54,24 +60,32 @@ def _specs(count=3, max_decisions=5):
 
 
 class TestModeSelection:
-    def test_default_mode_is_sync(self, monkeypatch):
+    def test_default_mode_is_async(self, monkeypatch):
         monkeypatch.delenv(CAMPAIGN_MODE_ENV, raising=False)
-        assert CampaignRunner().mode == "sync"
+        assert CampaignRunner().mode == "async"
 
     def test_env_var_selects_async(self, monkeypatch):
         monkeypatch.setenv(CAMPAIGN_MODE_ENV, "async")
         assert CampaignRunner().mode == "async"
+
+    def test_env_var_sync_rejected(self, monkeypatch):
+        # The sync pool is gone; the environment variable cannot revive it.
+        monkeypatch.setenv(CAMPAIGN_MODE_ENV, "sync")
+        with pytest.raises(ValueError, match="'serial', 'async'"):
+            CampaignRunner()
 
     def test_explicit_mode_beats_env(self, monkeypatch):
         monkeypatch.setenv(CAMPAIGN_MODE_ENV, "async")
         assert CampaignRunner(mode="serial").mode == "serial"
 
     def test_modes_are_the_public_tuple(self):
-        assert CAMPAIGN_MODES == ("serial", "sync", "async")
+        assert CAMPAIGN_MODES == ("serial", "async")
 
     def test_validation(self):
         with pytest.raises(ValueError, match="mode"):
             CampaignRunner(mode="warp")
+        with pytest.raises(ValueError, match="mode"):
+            CampaignRunner(mode="sync")
         with pytest.raises(ValueError, match="spec_timeout_s"):
             CampaignRunner(spec_timeout_s=0.0)
         with pytest.raises(ValueError, match="max_attempts"):
@@ -85,29 +99,26 @@ class TestModeSelection:
 
 
 class TestModeEquivalence:
-    """Serial, sync-pool and async agree byte-for-byte and row-for-row."""
+    """Serial and async agree byte-for-byte and row-for-row."""
 
     def test_traces_and_summary_identical_across_modes(self, tmp_path):
         specs = _specs(3)
         results = {}
-        for mode, workers in (("serial", 1), ("sync", 2), ("async", 2)):
+        for mode, workers in (("serial", 1), ("async", 2)):
             results[mode] = CampaignRunner(max_workers=workers, mode=mode).run(
                 specs, trace_dir=tmp_path / mode
             )
         names = sorted(p.name for p in (tmp_path / "serial").glob("*.jsonl"))
         assert len(names) == len(specs)
-        for mode in ("sync", "async"):
-            assert (
-                sorted(p.name for p in (tmp_path / mode).glob("*.jsonl")) == names
-            )
-            for name in names:
-                assert (tmp_path / mode / name).read_bytes() == (
-                    tmp_path / "serial" / name
-                ).read_bytes(), f"{mode} trace diverged: {name}"
-            assert results[mode].summary() == results["serial"].summary()
-            assert [o.metrics for o in results[mode].outcomes] == [
-                o.metrics for o in results["serial"].outcomes
-            ]
+        assert sorted(p.name for p in (tmp_path / "async").glob("*.jsonl")) == names
+        for name in names:
+            assert (tmp_path / "async" / name).read_bytes() == (
+                tmp_path / "serial" / name
+            ).read_bytes(), f"async trace diverged: {name}"
+        assert results["async"].summary() == results["serial"].summary()
+        assert [o.metrics for o in results["async"].outcomes] == [
+            o.metrics for o in results["serial"].outcomes
+        ]
 
     def test_async_preserves_spec_order(self):
         specs = _specs(4)
@@ -293,6 +304,19 @@ class TestResume:
         path = trace_path(tmp_path, spec.name)
         assert path.exists()
         assert not is_complete_trace(path)
+
+    def test_worker_and_parent_error_records_are_byte_identical(self, tmp_path):
+        # A spec that fails to parse: the worker writes its error record into
+        # the open trace, the parent-side twin replaces the file with its own.
+        # Both build the record with the same helper, so the bytes agree.
+        spec_dict = dict(_specs(1)[0].to_dict(), mission={"max_decisions": -1})
+        row = _run_payload({"spec": spec_dict, "trace_dir": str(tmp_path / "worker")})
+        assert row["error"]["type"] == "ValueError"
+        write_error_trace(tmp_path / "parent", spec_dict, row["error"])
+        worker = trace_path(tmp_path / "worker", spec_dict["name"]).read_bytes()
+        parent = trace_path(tmp_path / "parent", spec_dict["name"]).read_bytes()
+        assert worker == parent
+        assert worker.count(b"\n") == 1
 
 
 class TestReportCLI:

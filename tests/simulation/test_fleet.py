@@ -129,6 +129,42 @@ class TestSingleDroneIdentity:
         assert fleet.fleet.n_drones == 1
         assert fleet.fleet.min_separation_m is None
 
+    def test_mission_record_shapes_single_drone_vs_fleet_of_one(self):
+        # Both simulators fly one loop, but only the fleet's mission record
+        # carries the fleet/drones fields.
+        spec = ScenarioSpec(name="solo", environment=TINY_ENV, mission=TINY_CFG)
+        solo = TraceRecorder(spec=spec)
+        spec.run(recorder=solo)
+        assert isinstance(solo.mission_record, MissionRecord)
+        assert solo.mission_record.fleet is None
+        assert solo.mission_record.drones is None
+
+        fleet = TraceRecorder(spec=spec)
+        tiny_fleet(1).run(recorder=fleet)
+        assert fleet.mission_record.fleet["n_drones"] == 1
+        assert len(fleet.mission_record.drones) == 1
+        assert fleet.mission_record.metrics == solo.mission_record.metrics
+
+    def test_neither_run_calls_the_other(self, monkeypatch):
+        # Both simulators share one mission loop rather than delegating to
+        # each other's run(), so an outer wrapper on run() sees exactly one
+        # call per mission.
+        calls = []
+        for owner in (MissionSimulator, FleetSimulator):
+            original = owner.__dict__["run"]
+
+            def counted(self, *args, _original=original, _owner=owner, **kwargs):
+                calls.append(_owner.__name__)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(owner, "run", counted)
+        MissionSimulator(
+            build_environment(TINY_ENV, WorldSpec()), RoboRunRuntime(), TINY_CFG
+        ).run()
+        assert calls == ["MissionSimulator"]
+        tiny_fleet(2).run()
+        assert calls == ["MissionSimulator", "FleetSimulator"]
+
     @pytest.mark.slow
     def test_n1_fleet_matches_benchmark_seed_golden(self):
         # The same environment/mission pair TestGoldenMetrics pins in

@@ -11,7 +11,11 @@ from repro import (
     SpatialObliviousRuntime,
 )
 from repro.geometry.vec3 import Vec3
+from repro.middleware.clock import SimClock
+from repro.middleware.executor import Executor
+from repro.middleware.topic import TopicBus
 from repro.planning.trajectory import Trajectory, TrajectoryPoint
+from repro.simulation.pipeline import DecisionPipeline
 from repro.simulation.metrics import (
     summarise_zone_latency_variation,
     summarise_zone_velocity,
@@ -177,7 +181,7 @@ class TestTrajectoryBlockedAnchoring:
             )
         )
         sim = MissionSimulator(env, RoboRunRuntime(), FAST_CFG)
-        return sim.build_pipeline().planning
+        return sim.build_pipeline(Executor(TopicBus(), SimClock())).planning
 
     def loop_trajectory(self):
         """A path that revisits its start: A → B → A → C."""
@@ -219,6 +223,49 @@ class TestTrajectoryBlockedAnchoring:
         for dy in (-0.3, 0.0, 0.3):
             octree.mark_occupied(Vec3(10.0, dy, 5.0))
         assert planning.trajectory_blocked(trajectory, b)
+
+
+class TestPipelineWiring:
+    """Pipelines run on a loop-owned executor; simulators keep their map."""
+
+    def simulator(self, max_decisions=5):
+        env = EnvironmentGenerator().generate(SMALL_ENV)
+        cfg = MissionConfig(max_decisions=max_decisions, max_mission_time_s=60.0)
+        return MissionSimulator(env, RoboRunRuntime(), cfg)
+
+    def test_build_pipeline_requires_executor(self):
+        with pytest.raises(TypeError, match="executor"):
+            self.simulator().build_pipeline()
+
+    def test_decision_pipeline_requires_executor(self):
+        sim = self.simulator()
+        with pytest.raises(TypeError, match="executor"):
+            DecisionPipeline(
+                environment=sim.environment,
+                runtime=sim.runtime,
+                config=sim.config,
+                cost_model=sim.cost_model,
+                kinematics=sim.kinematics,
+                profilers=sim.profilers,
+                operators=sim.operators,
+                rig=sim.rig,
+                sensors=sim.sensors,
+                follower=sim.follower,
+            )
+
+    def test_repeated_runs_share_the_occupancy_map(self):
+        sim = self.simulator()
+        octree = sim.operators.octree
+        first = sim.run()
+        assert octree.observed_voxel_count() > 0
+        second = sim.run()
+        # Each run wires a fresh pipeline on a fresh executor, over the same
+        # operator set: the second run senses into the first run's map.
+        assert first.pipeline is not second.pipeline
+        assert first.pipeline.executor is not second.pipeline.executor
+        assert first.pipeline.perception.operators is sim.operators
+        assert second.pipeline.perception.operators is sim.operators
+        assert sim.operators.octree is octree
 
 
 class TestMissionConfigValidation:
