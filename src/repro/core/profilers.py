@@ -126,23 +126,27 @@ class ProfilerSuite:
         on; the minimum gap lower-bounds the precision needed to see a path
         between them (Eq. 3's ``g_min`` and ``g_avg``).
         """
-        nearby = cloud.points_within(self.gap_neighbourhood)
-        if len(nearby) < 2:
-            return (self.open_space_gap, self.open_space_gap)
         if hotpath.enabled():
-            # One pairwise distance matrix instead of the quadratic Python
-            # loop.  The elementwise arithmetic matches Vec3.distance_to, the
-            # row minimum matches the scalar running minimum, and the mean is
+            # Pairwise distance rows instead of the quadratic Python loop,
+            # 64 rows at a time so the transient matrix stays small.  The
+            # elementwise arithmetic matches Vec3.distance_to, the row
+            # minimum matches the scalar running minimum, and the mean is
             # summed sequentially (tolist + sum) rather than with numpy's
             # pairwise reduction, so both statistics are bit-identical.
-            pts = np.array([(p.x, p.y, p.z) for p in nearby], dtype=np.float64)
-            diff = pts[:, None, :] - pts[None, :, :]
-            dist = np.sqrt(
-                (diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1])
-                + diff[..., 2] * diff[..., 2]
-            )
-            np.fill_diagonal(dist, np.inf)
-            row_min = dist.min(axis=1)
+            pts = cloud.array_within(self.gap_neighbourhood)
+            n = pts.shape[0]
+            if n < 2:
+                return (self.open_space_gap, self.open_space_gap)
+            row_min = np.empty(n)
+            for lo in range(0, n, 64):
+                hi = min(lo + 64, n)
+                diff = pts[lo:hi, None, :] - pts[None, :, :]
+                dist = np.sqrt(
+                    (diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1])
+                    + diff[..., 2] * diff[..., 2]
+                )
+                dist[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+                row_min[lo:hi] = dist.min(axis=1)
             gaps = row_min[np.isfinite(row_min)].tolist()
             if not gaps:
                 return (self.open_space_gap, self.open_space_gap)
@@ -151,6 +155,9 @@ class ProfilerSuite:
             return (gap_min, gap_avg)
         # Nearest-neighbour distance per point; the cloud is already grid
         # downsampled so the quadratic pass stays small.
+        nearby = cloud.points_within(self.gap_neighbourhood)
+        if len(nearby) < 2:
+            return (self.open_space_gap, self.open_space_gap)
         gaps = []
         for i, a in enumerate(nearby):
             best = math.inf

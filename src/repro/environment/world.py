@@ -262,19 +262,29 @@ class World:
     # Occupancy / collision
     # ------------------------------------------------------------------
     def is_occupied(self, point: Vec3, margin: float = 0.0) -> bool:
-        """True when a point is inside (or within ``margin`` of) an obstacle."""
+        """True when a point is inside (or within ``margin`` of) an obstacle.
+
+        The margin test compares against ``lo - margin`` and ``hi + margin``
+        inline: the same floats ``box.expanded(margin).contains`` compares,
+        without building a box per candidate.
+        """
+        if margin < 0:
+            raise ValueError("margin cannot be negative")
+        x, y, z = point.x, point.y, point.z
+
+        def inside(box: AABB) -> bool:
+            lo, hi = box.min_corner, box.max_corner
+            return (
+                lo.x - margin <= x <= hi.x + margin
+                and lo.y - margin <= y <= hi.y + margin
+                and lo.z - margin <= z <= hi.z + margin
+            )
+
+        obstacles = self._obstacles
         for idx in self._candidate_indices(point, margin + self._hash_cell):
-            obstacle = self._obstacles[idx]
-            if margin == 0.0:
-                if obstacle.box.contains(point):
-                    return True
-            elif obstacle.box.expanded(margin).contains(point):
+            if inside(obstacles[idx].box):
                 return True
-        for obstacle in self._unhashed_obstacles():
-            box = obstacle.box if margin == 0.0 else obstacle.box.expanded(margin)
-            if box.contains(point):
-                return True
-        return False
+        return any(inside(obstacle.box) for obstacle in self._unhashed_obstacles())
 
     def is_inside_bounds(self, point: Vec3) -> bool:
         """True when the point lies inside the world bounds."""

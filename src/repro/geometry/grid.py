@@ -11,14 +11,52 @@ boundaries.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.geometry.aabb import AABB
 from repro.geometry.vec3 import Vec3
 
 VoxelKey = Tuple[int, int, int]
+
+# Packed-key encoding: one int64 per (i, j, k) voxel key.  Components are
+# shifted by _PACK_OFF and mixed in base _PACK_BASE, supporting |i| < 2**19
+# (±100 km at 0.2 m voxels) without overflowing the 63-bit positive range.
+_PACK_OFF = 1 << 19
+_PACK_BASE = 1 << 20
+
+
+def pack_keys(ijk: np.ndarray) -> np.ndarray:
+    """Encode an ``(N, 3)`` int voxel-key array into ``(N,)`` int64 scalars."""
+    ijk = np.asarray(ijk, dtype=np.int64)
+    return (
+        (ijk[..., 0] + _PACK_OFF) * _PACK_BASE + (ijk[..., 1] + _PACK_OFF)
+    ) * _PACK_BASE + (ijk[..., 2] + _PACK_OFF)
+
+
+def key_array(keys: Sequence[VoxelKey]) -> np.ndarray:
+    """A list of voxel keys as an ``(N, 3)`` int64 array (one C-level pass)."""
+    flat = itertools.chain.from_iterable(keys)
+    return np.fromiter(flat, dtype=np.int64, count=3 * len(keys)).reshape(-1, 3)
+
+
+def first_occurrence_groups(packed: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Group equal packed keys, numbering groups by first appearance.
+
+    Returns ``(first, group)``: ``first[g]`` is the index of the first
+    element of group ``g`` and ``group[n]`` the group of element ``n``, with
+    groups numbered in the order their first element appears — the order a
+    dict keyed by these values would hold after inserting them one by one.
+    """
+    _, first, inverse = np.unique(packed, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return first[order], rank[inverse.reshape(-1)]
 
 
 def voxel_key(point: Vec3, resolution: float) -> VoxelKey:
@@ -193,3 +231,28 @@ def downsample_points(points: Iterable[Vec3], resolution: float) -> List[Vec3]:
     grid = VoxelGrid(resolution)
     grid.insert_many(points)
     return grid.averaged_points()
+
+
+def downsample_array(points: np.ndarray, resolution: float) -> np.ndarray:
+    """Array twin of :func:`downsample_points` over an ``(N, 3)`` float64 array.
+
+    Cells come out in first-occurrence order, as the grid's dict holds them.
+    Each cell's coordinate sums use :func:`np.bincount` with weights, which
+    adds in input order starting from zero exactly as ``_CellAccumulator``
+    does, and the mean divides by the same count, so every average is
+    bit-identical to the scalar grid's.
+    """
+    if resolution <= 0:
+        raise ValueError("voxel resolution must be positive")
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    if pts.shape[0] == 0:
+        return pts
+    first, group = first_occurrence_groups(
+        pack_keys(np.floor(pts / resolution).astype(np.int64))
+    )
+    cells = first.size
+    counts = np.bincount(group, minlength=cells)
+    means = np.empty((cells, 3), dtype=np.float64)
+    for axis in range(3):
+        means[:, axis] = np.bincount(group, weights=pts[:, axis], minlength=cells) / counts
+    return means

@@ -41,15 +41,16 @@ structures instead of rescanning the map.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro import hotpath
 from repro.geometry.aabb import AABB
-from repro.geometry.grid import VoxelKey, voxel_center, voxel_key
+from repro.geometry.grid import VoxelKey, key_array, pack_keys, voxel_center, voxel_key
 from repro.geometry.ray import sample_ray
 from repro.geometry.vec3 import Vec3
 from repro.perception.point_cloud import PointCloud
@@ -185,21 +186,37 @@ class OccupancyOctree:
             wall the box overlaps, integrated from sensor data) are not
             returned, so clearing the footprint later cannot erase them.
         """
-        lo = voxel_key(box.min_corner, self.vox_min)
-        hi = voxel_key(box.max_corner, self.vox_min)
-        keys: List[VoxelKey] = []
-        for i in range(lo[0], hi[0] + 1):
-            for j in range(lo[1], hi[1] + 1):
-                for k in range(lo[2], hi[2] + 1):
-                    key = (i, j, k)
-                    if key in self._occupied:
-                        continue
-                    self._add_occupied(key)
-                    self._free.discard(
-                        voxel_key(voxel_center(key, self.vox_min), self.free_resolution)
-                    )
-                    keys.append(key)
-        return keys
+        return self.mark_boxes([box])[0]
+
+    def mark_boxes(self, boxes: Sequence["AABB"]) -> List[List[VoxelKey]]:
+        """:meth:`mark_box` for each box in turn, as one index update.
+
+        Returns each box's newly occupied keys; a voxel covered by two boxes
+        belongs to the first.  The keys enter the occupied set box by box in
+        ``(i, j, k)`` order and reach the spatial index through one
+        :meth:`SpatialIndex.add_many` in that same order, so the map ends up
+        exactly as after calling :meth:`mark_box` per box.
+        """
+        occupied = self._occupied
+        per_box: List[List[VoxelKey]] = []
+        for box in boxes:
+            lo = voxel_key(box.min_corner, self.vox_min)
+            hi = voxel_key(box.max_corner, self.vox_min)
+            cube = itertools.product(
+                range(lo[0], hi[0] + 1), range(lo[1], hi[1] + 1), range(lo[2], hi[2] + 1)
+            )
+            keys = [key for key in cube if key not in occupied]
+            occupied.update(keys)
+            per_box.append(keys)
+        fresh = list(itertools.chain.from_iterable(per_box))
+        if fresh:
+            self._index.add_many(fresh)
+            # voxel_center's (i + 0.5) * vox_min, then the free-resolution floor.
+            centres = (key_array(fresh) + 0.5) * self.vox_min
+            free_keys = _floor_keys(centres, self.free_resolution)
+            _, distinct = np.unique(pack_keys(free_keys), return_index=True)
+            self._free.difference_update(map(tuple, free_keys[distinct].tolist()))
+        return per_box
 
     def clear_cells(self, keys: Iterable[VoxelKey]) -> int:
         """Un-mark the given voxels (index-maintained); returns the count cleared.
@@ -207,12 +224,9 @@ class OccupancyOctree:
         Voxels that are no longer occupied (e.g. already erased by a
         measurement ray passing through) are skipped silently.
         """
-        cleared = 0
-        for key in keys:
-            if key in self._occupied:
-                self._remove_occupied(key)
-                cleared += 1
-        return cleared
+        cleared = self._index.remove_many(keys)
+        self._occupied.difference_update(cleared)
+        return len(cleared)
 
     def mark_free(self, point: Vec3) -> VoxelKey:
         """Mark the coarse region containing ``point`` as observed-free.
@@ -279,33 +293,32 @@ class OccupancyOctree:
             raise ValueError("ray-caster step must be positive")
         if max_volume is not None and max_volume < 0:
             raise ValueError("volume budget cannot be negative")
+        step = max(ray_step if ray_step is not None else self.vox_min, self.vox_min)
+        anchor = focus if focus is not None else cloud.origin
+        if hotpath.enabled():
+            stats = self._insert_array(cloud, step, max_volume, anchor)
+        else:
+            stats = self._insert_scalar(cloud, step, max_volume, anchor)
+        self._last_insert_stats = stats
+        return dict(stats)
 
+    def _insert_scalar(
+        self, cloud: PointCloud, step: float, max_volume: Optional[float], anchor: Vec3
+    ) -> Dict[str, float]:
+        """The reference insertion: one ray at a time, in distance order."""
         origin = cloud.origin
-        anchor = focus if focus is not None else origin
         ordered = sorted(cloud.points, key=lambda p: anchor.distance_to(p))
         # Endpoints observed in this very cloud are protected from the
         # free-space clearing below: one ray grazing another ray's endpoint
         # must not erase an obstacle we are observing right now.
         protected = {voxel_key(p, self.vox_min) for p in ordered}
 
-        # Precompute every ray's sample keys in one vectorised pass.  Rays
-        # past the volume budget simply leave their entry unused; the set
-        # mutations themselves are replayed sequentially per ray below, so
-        # the resulting map is identical to the scalar integration.
-        bulk: Optional[List[Tuple[List[VoxelKey], List[VoxelKey]]]] = None
-        if hotpath.enabled() and ordered:
-            effective_step = max(
-                ray_step if ray_step is not None else self.vox_min, self.vox_min
-            )
-            bookkeeping_step = max(effective_step, self.free_resolution)
-            bulk = self._ray_sample_keys_bulk(origin, ordered, bookkeeping_step)
-
         new_volume = 0.0
         integrated = 0
         skipped = 0
         cells_updated = 0
 
-        for index, point in enumerate(ordered):
+        for point in ordered:
             if max_volume is not None and new_volume >= max_volume:
                 # Budget exhausted: the expensive free-space carving is skipped
                 # for the remaining (farther) points, but their endpoint voxels
@@ -318,34 +331,26 @@ class OccupancyOctree:
                 cells_updated += 1
                 skipped += 1
                 continue
-            charged, added_volume = self._integrate_single(
-                origin,
-                point,
-                ray_step,
-                protected,
-                precomputed=bulk[index] if bulk is not None else None,
-            )
+            charged, added_volume = self._integrate_single(origin, point, step, protected)
             cells_updated += charged
             new_volume += added_volume
             integrated += 1
 
-        self._last_insert_stats = {
+        return {
             "points_integrated": float(integrated),
             "points_skipped": float(skipped),
             "cells_updated": float(cells_updated),
             "integrated_volume": new_volume,
         }
-        return dict(self._last_insert_stats)
 
     def _integrate_single(
         self,
         origin: Vec3,
         point: Vec3,
-        ray_step: Optional[float],
-        protected: Optional[Set[VoxelKey]] = None,
-        precomputed: Optional[Tuple[List[VoxelKey], List[VoxelKey]]] = None,
+        step: float,
+        protected: Set[VoxelKey],
     ) -> Tuple[int, float]:
-        """Integrate one measurement ray.
+        """Integrate one measurement ray at ray-caster step ``step``.
 
         Returns:
             ``(charged_cells, integrated_volume)``: the number of cells a real
@@ -355,124 +360,153 @@ class OccupancyOctree:
             the volume operator exists to bound).
         """
         distance = origin.distance_to(point)
-        effective_step = max(ray_step if ray_step is not None else self.vox_min, self.vox_min)
-        charged_cells = int(distance / effective_step) + 1
+        charged_cells = int(distance / step) + 1
 
         integrated_volume = self.vox_min**3
         free_cell_volume = self.free_resolution**3
-        bookkeeping_step = max(effective_step, self.free_resolution)
-        if hotpath.enabled():
-            # Batched twin of sampling the ray point by point: the sample
-            # coordinates come from the same sequential step accumulation
-            # (cumsum) and the same floor quantisation, so the key sequence —
-            # and therefore every set mutation below — is identical.  The set
-            # updates themselves stay sequential because clearing depends on
-            # the occupancy state left by earlier rays of this insertion.
-            if precomputed is not None:
-                free_keys, occ_keys = precomputed
-            else:
-                free_keys, occ_keys = self._ray_sample_keys(
-                    origin, point, bookkeeping_step
-                )
-            for key, sample_key in zip(free_keys, occ_keys):
-                self._free.add(key)
-                integrated_volume += free_cell_volume
-                if protected is None or sample_key not in protected:
-                    self._remove_occupied(sample_key)
-        else:
-            for sample in sample_ray(origin, point, bookkeeping_step)[:-1]:
-                key = voxel_key(sample, self.free_resolution)
-                self._free.add(key)
-                integrated_volume += free_cell_volume
-                # A measurement ray passing through a voxel previously believed
-                # occupied is evidence that the voxel is actually free — the
-                # counterpart of OctoMap's probabilistic clearing.  This erases
-                # phantom cells created by coarse point-cloud averaging once the
-                # drone observes the area again.  Endpoints of the current cloud
-                # are protected.
-                sample_key = voxel_key(sample, self.vox_min)
-                if protected is None or sample_key not in protected:
-                    self._remove_occupied(sample_key)
+        for sample in sample_ray(origin, point, max(step, self.free_resolution))[:-1]:
+            key = voxel_key(sample, self.free_resolution)
+            self._free.add(key)
+            integrated_volume += free_cell_volume
+            # A measurement ray passing through a voxel previously believed
+            # occupied is evidence that the voxel is actually free — the
+            # counterpart of OctoMap's probabilistic clearing.  This erases
+            # phantom cells created by coarse point-cloud averaging once the
+            # drone observes the area again.  Endpoints of the current cloud
+            # are protected.
+            sample_key = voxel_key(sample, self.vox_min)
+            if sample_key not in protected:
+                self._remove_occupied(sample_key)
 
         endpoint_key = voxel_key(point, self.vox_min)
         self._add_occupied(endpoint_key)
         self._free.discard(voxel_key(point, self.free_resolution))
         return charged_cells, integrated_volume
 
-    def _ray_sample_keys(
-        self, origin: Vec3, point: Vec3, step: float
-    ) -> Tuple[List[VoxelKey], List[VoxelKey]]:
-        """Voxel keys of the free-space samples along one measurement ray.
+    def _insert_array(
+        self, cloud: PointCloud, step: float, max_volume: Optional[float], anchor: Vec3
+    ) -> Dict[str, float]:
+        """:meth:`_insert_scalar` as one array pass with the same end state.
 
-        Returns the keys at the free bookkeeping resolution and at the
-        occupied resolution for every sample ``origin + unit * t`` with the
-        scalar twin's accumulated ``t < length`` (the end point excluded),
-        quantised with the same ``floor(x / resolution)``.
+        Rays are ordered by a stable sort on the exact scalar distances.  A
+        ray's sample parameters come from the same sequential step sum
+        (cumsum) and its volume from the same sequential additions, so the
+        budget cut falls on the same ray.  The free set is settled per key by
+        its last event: a sample add at ray ``r`` loses to an endpoint
+        discard at ray ``r`` (the discard comes after the ray's samples) and
+        wins against any earlier one.  Of the occupied-set calls only the
+        effective ones are replayed, in ray order through the index: clears
+        of unprotected keys occupied at the start, and adds of endpoints not
+        yet occupied.  Clears never touch an endpoint key and adds only
+        touch endpoint keys, so neither kind can undo the other and the
+        replay ends exactly where the ray-by-ray loop does.
         """
-        ox, oy, oz = origin.x, origin.y, origin.z
-        dx, dy, dz = point.x - ox, point.y - oy, point.z - oz
-        length = math.sqrt(dx * dx + dy * dy + dz * dz)
-        if length <= 1e-12:
-            return [], []
-        max_probes = int(length / step) + 2
-        ts = np.concatenate(
-            ([0.0], np.cumsum(np.full(max_probes, step, dtype=np.float64)))
-        )
-        ts = ts[ts < length]
-        unit = np.array((dx / length, dy / length, dz / length))
-        pts = np.array((ox, oy, oz)) + unit[None, :] * ts[:, None]
-        free_keys = np.floor(pts / self.free_resolution).astype(np.int64)
-        occ_keys = np.floor(pts / self.vox_min).astype(np.int64)
-        return (
-            [tuple(row) for row in free_keys.tolist()],
-            [tuple(row) for row in occ_keys.tolist()],
-        )
+        n = len(cloud)
+        if n == 0:
+            return {
+                "points_integrated": 0.0,
+                "points_skipped": 0.0,
+                "cells_updated": 0.0,
+                "integrated_volume": 0.0,
+            }
+        points = cloud.as_array()
+        o = np.array((cloud.origin.x, cloud.origin.y, cloud.origin.z))
+        d = np.array((anchor.x, anchor.y, anchor.z)) - points
+        priority = np.sqrt((d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) + d[:, 2] * d[:, 2])
+        order = np.argsort(priority, kind="stable")
+        points = points[order]
+        lengths = cloud.origin_distances()[order]
+        charged = (lengths / step).astype(np.int64) + 1
 
-    def _ray_sample_keys_bulk(
-        self, origin: Vec3, points: List[Vec3], step: float
-    ) -> List[Tuple[List[VoxelKey], List[VoxelKey]]]:
-        """Per-ray sample keys for a whole cloud insertion, in one array pass.
-
-        Every ray shares the insertion origin and bookkeeping step, so all
-        sample coordinates are produced by a single ragged broadcast; the
-        per-ray key sequences match :meth:`_ray_sample_keys` exactly.
-        """
-        o = np.array((origin.x, origin.y, origin.z), dtype=np.float64)
-        targets = np.array([(p.x, p.y, p.z) for p in points], dtype=np.float64)
-        d = targets - o
-        lengths = np.sqrt(
-            (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) + d[:, 2] * d[:, 2]
-        )
+        # Samples per ray: t = 0, s, s+s, ... while t < length, as sample_ray
+        # accumulates them; a zero-length ray has none.
+        sample_step = max(step, self.free_resolution)
         live = lengths > 1e-12
-        counts = np.zeros(len(points), dtype=np.int64)
+        counts = np.zeros(n, dtype=np.int64)
+        ts = np.zeros(1)
         if live.any():
-            max_probes = int(float(lengths[live].max()) / step) + 2
-            ts = np.concatenate(
-                ([0.0], np.cumsum(np.full(max_probes, step, dtype=np.float64)))
-            )
+            max_probes = int(float(lengths[live].max()) / sample_step) + 2
+            ts = np.concatenate(([0.0], np.cumsum(np.full(max_probes, sample_step))))
             counts[live] = np.searchsorted(ts, lengths[live], side="left")
+
+        # Ray volumes by the scalar's repeated additions, then the budget cut.
+        free_volumes = np.full(int(counts.max()), self.free_resolution**3)
+        volume_table = np.cumsum(np.concatenate(([self.vox_min**3], free_volumes)))
+        volume_after = np.cumsum(volume_table[counts])
+        integrated = n
+        if max_volume is not None:
+            volume_before = np.concatenate(([0.0], volume_after[:-1]))
+            integrated = int(np.count_nonzero(volume_before < max_volume))
+        counts[integrated:] = 0
+
         total = int(counts.sum())
-        if total == 0:
-            return [([], []) for _ in points]
-        seg = np.repeat(np.arange(len(points)), counts)
+        seg = np.repeat(np.arange(n), counts)
         offsets = np.cumsum(counts) - counts
-        t = ts[np.arange(total) - np.repeat(offsets, counts)]
         with np.errstate(divide="ignore", invalid="ignore"):
-            unit = np.where(live[:, None], d / lengths[:, None], 0.0)
-        pts = o + unit[seg] * t[:, None]
-        free_rows = np.floor(pts / self.free_resolution).astype(np.int64).tolist()
-        occ_rows = np.floor(pts / self.vox_min).astype(np.int64).tolist()
-        results: List[Tuple[List[VoxelKey], List[VoxelKey]]] = []
-        for index in range(len(points)):
-            a = int(offsets[index])
-            b = a + int(counts[index])
-            results.append(
-                (
-                    [tuple(row) for row in free_rows[a:b]],
-                    [tuple(row) for row in occ_rows[a:b]],
-                )
+            unit = np.where(live[:, None], (points - o) / lengths[:, None], 0.0)
+        # Every sample (o + unit * t, as sample_ray computes it), then every
+        # endpoint: one coordinate array, so a position in it is an index.
+        coords = np.empty((total + n, 3))
+        samples = coords[:total]
+        np.multiply(unit[seg], ts[np.arange(total) - offsets[seg]][:, None], out=samples)
+        samples += o
+        coords[total:] = points
+
+        # Free set: events stamped 2r (ray r's samples) and 2r + 1 (ray r's
+        # endpoint discard); the last event per key decides.
+        packed = _packed_keys(coords, self.free_resolution)
+        stamps = np.concatenate((2 * seg, 2 * np.arange(n) + 1))
+        by_key = np.lexsort((stamps, packed))
+        last = np.ones(by_key.size, dtype=bool)
+        last[:-1] = packed[by_key[1:]] != packed[by_key[:-1]]
+        winners = by_key[last]
+        added = (stamps[winners] & 1) == 0
+        self._free.update(_key_tuples(coords[winners[added]], self.free_resolution))
+        self._free.difference_update(
+            _key_tuples(coords[winners[~added]], self.free_resolution)
+        )
+
+        # Occupied set: the first clear of each unprotected sample key and
+        # the first add of each endpoint key, positioned in one sequence
+        # where every ray's samples are followed by its endpoint.
+        packed = _packed_keys(coords, self.vox_min)
+        clearable = np.flatnonzero(~np.isin(packed[:total], packed[total:]))
+        _, first = np.unique(packed[clearable], return_index=True)
+        clear_at = clearable[first]
+        _, first = np.unique(packed[total:], return_index=True)
+        occupied = self._occupied
+        events = [
+            (position, key, False)
+            for position, key in zip(
+                (clear_at + seg[clear_at]).tolist(),
+                _key_tuples(coords[clear_at], self.vox_min),
             )
-        return results
+            if key in occupied
+        ]
+        events.extend(
+            (position, key, True)
+            for position, key in zip(
+                (np.cumsum(counts)[first] + first).tolist(),
+                _key_tuples(points[first], self.vox_min),
+            )
+            if key not in occupied
+        )
+        events.sort()
+        index = self._index
+        for _, key, add in events:
+            if add:
+                occupied.add(key)
+                index.add(key)
+            else:
+                occupied.remove(key)
+                index.remove(key)
+
+        return {
+            "points_integrated": float(integrated),
+            "points_skipped": float(n - integrated),
+            "cells_updated": float(int(charged[:integrated].sum()) + n - integrated),
+            "integrated_volume": float(volume_after[integrated - 1]) if integrated else 0.0,
+        }
 
     @property
     def last_insert_stats(self) -> Dict[str, float]:
@@ -713,6 +747,23 @@ class OccupancyOctree:
             occupied_leaves=sum(c.occupied_leaves for c in top_nodes),
             children=top_nodes,
         )
+
+
+def _floor_keys(coords: np.ndarray, resolution: float) -> np.ndarray:
+    """``floor(x / resolution)`` per coordinate, as ``voxel_key`` computes it."""
+    scaled = coords / resolution
+    np.floor(scaled, out=scaled)
+    return scaled.astype(np.int64)
+
+
+def _packed_keys(coords: np.ndarray, resolution: float) -> np.ndarray:
+    """Packed int64 voxel keys of ``(N, 3)`` coordinates."""
+    return pack_keys(_floor_keys(coords, resolution))
+
+
+def _key_tuples(coords: np.ndarray, resolution: float) -> Iterator[VoxelKey]:
+    """Voxel-key tuples of ``(N, 3)`` coordinates."""
+    return map(tuple, _floor_keys(coords, resolution).tolist())
 
 
 def prune_tree_to_volume(

@@ -6,64 +6,86 @@ captured by the camera rig and produces a :class:`PointCloud`.  Its precision
 operator "is enforced by controlling the sampling distance between points. We
 grid the space into cells, map the points onto the cells using their
 coordinates, and then reduce each cell to a single average point" (§III-B) —
-implemented here via :class:`~repro.geometry.grid.VoxelGrid`.
+implemented here by :func:`~repro.geometry.grid.downsample_array`, the array
+twin of :class:`~repro.geometry.grid.VoxelGrid`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro import hotpath
 from repro.geometry.aabb import AABB
-from repro.geometry.grid import downsample_points
+from repro.geometry.grid import downsample_array, downsample_points
 from repro.geometry.vec3 import Vec3, centroid
 from repro.sensors.rig import RigScan
 
 
-@dataclass(frozen=True, slots=True)
 class PointCloud:
     """A set of 3-D obstacle points measured from a single drone pose.
 
+    The points are held as one ``(N, 3)`` float64 array; ``Vec3`` points are
+    built only when a caller asks for :attr:`points`.
+
     Attributes:
         origin: the sensor position the points were observed from.
-        points: obstacle surface points in world coordinates.
         raw_point_count: number of points before precision downsampling, used
             by the compute model to charge the fixed point-cloud conversion
             cost the paper reports (about 210 ms regardless of the knobs).
         resolution: the grid resolution the cloud was downsampled at, metres.
     """
 
-    origin: Vec3
-    points: tuple[Vec3, ...]
-    raw_point_count: int
-    resolution: float
-    _array: Optional[np.ndarray] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _origin_distances: Optional[np.ndarray] = field(
-        default=None, init=False, repr=False, compare=False
+    __slots__ = (
+        "origin",
+        "raw_point_count",
+        "resolution",
+        "_array",
+        "_points",
+        "_origin_distances",
     )
 
+    def __init__(
+        self,
+        origin: Vec3,
+        points: Union[np.ndarray, Sequence[Vec3]],
+        raw_point_count: int,
+        resolution: float,
+    ) -> None:
+        """``points`` is an ``(N, 3)`` array or a sequence of ``Vec3``."""
+        self.origin = origin
+        self.raw_point_count = raw_point_count
+        self.resolution = resolution
+        self._points: Optional[Tuple[Vec3, ...]] = None
+        if isinstance(points, np.ndarray):
+            self._array = np.ascontiguousarray(points, dtype=np.float64).reshape(-1, 3)
+        else:
+            self._points = tuple(points)
+            self._array = np.array(
+                [(p.x, p.y, p.z) for p in self._points], dtype=np.float64
+            ).reshape(-1, 3)
+        self._origin_distances: Optional[np.ndarray] = None
+
     def __len__(self) -> int:
-        return len(self.points)
+        return self._array.shape[0]
+
+    @property
+    def points(self) -> Tuple[Vec3, ...]:
+        """The points as ``Vec3`` objects (built on first access)."""
+        if self._points is None:
+            self._points = tuple(Vec3(x, y, z) for x, y, z in self._array.tolist())
+        return self._points
 
     def is_empty(self) -> bool:
         """True when no obstacle points were observed."""
-        return not self.points
+        return len(self) == 0
 
     def as_array(self) -> np.ndarray:
-        """The points as a cached, contiguous ``(N, 3)`` float64 array."""
-        array = self._array
-        if array is None:
-            array = np.array(
-                [(p.x, p.y, p.z) for p in self.points], dtype=np.float64
-            ).reshape(len(self.points), 3)
-            object.__setattr__(self, "_array", array)
-        return array
+        """The points as a contiguous ``(N, 3)`` float64 array."""
+        return self._array
 
     def origin_distances(self) -> np.ndarray:
         """Cached per-point distance to the sensor origin, ``(N,)`` float64.
@@ -74,14 +96,13 @@ class PointCloud:
         """
         distances = self._origin_distances
         if distances is None:
-            pts = self.as_array()
-            d = pts - np.array(
+            d = self._array - np.array(
                 (self.origin.x, self.origin.y, self.origin.z), dtype=np.float64
             )
             distances = np.sqrt(
                 (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) + d[:, 2] * d[:, 2]
             )
-            object.__setattr__(self, "_origin_distances", distances)
+            self._origin_distances = distances
         return distances
 
     def nearest_distance(self) -> float:
@@ -90,7 +111,7 @@ class PointCloud:
         Returns ``math.inf`` for an empty cloud, signalling "no visible
         obstacle" to the profilers.
         """
-        if not self.points:
+        if self.is_empty():
             return math.inf
         if hotpath.enabled():
             return float(self.origin_distances().min())
@@ -98,20 +119,21 @@ class PointCloud:
 
     def centroid(self) -> Optional[Vec3]:
         """Mean of the observed points, or ``None`` when empty."""
-        if not self.points:
+        if self.is_empty():
             return None
         return centroid(list(self.points))
 
     def points_within(self, radius: float) -> List[Vec3]:
         """Points within ``radius`` metres of the sensor origin."""
-        if hotpath.enabled() and self.points:
-            mask = self.origin_distances() <= radius
-            return [self.points[i] for i in np.flatnonzero(mask)]
         return [p for p in self.points if self.origin.distance_to(p) <= radius]
+
+    def array_within(self, radius: float) -> np.ndarray:
+        """:meth:`points_within` as rows of the point array, order kept."""
+        return self._array[self.origin_distances() <= radius]
 
     def bounding_volume(self) -> float:
         """Volume (m^3) of the axis-aligned box containing all points (0 when < 2 points)."""
-        if len(self.points) < 2:
+        if len(self) < 2:
             return 0.0
         return AABB.from_points(list(self.points)).volume
 
@@ -155,27 +177,35 @@ class PointCloudKernel:
         res = self.default_resolution if resolution is None else resolution
         if res <= 0:
             raise ValueError("point-cloud resolution must be positive")
-        raw_points = scan.all_hit_points()
-        reduced = downsample_points(raw_points, res) if raw_points else []
-        if max_points is not None and len(reduced) > max_points:
-            reduced.sort(key=lambda p: scan.position.distance_to(p))
-            reduced = reduced[:max_points]
-        return PointCloud(
-            origin=scan.position,
-            points=tuple(reduced),
-            raw_point_count=len(raw_points),
-            resolution=res,
+        if hotpath.enabled():
+            raw = scan.hit_array()
+            reduced = downsample_array(raw, res)
+        else:
+            raw = scan.all_hit_points()
+            reduced = downsample_points(raw, res)
+        cloud = PointCloud(
+            origin=scan.position, points=reduced, raw_point_count=len(raw), resolution=res
         )
+        if max_points is not None and len(cloud) > max_points:
+            # A stable sort on the exact Vec3 distances: ties keep cell order.
+            keep = np.argsort(cloud.origin_distances(), kind="stable")[:max_points]
+            cloud = PointCloud(
+                origin=scan.position,
+                points=cloud.as_array()[keep],
+                raw_point_count=len(raw),
+                resolution=res,
+            )
+        return cloud
 
     @staticmethod
     def from_points(
         origin: Vec3, points: Sequence[Vec3], resolution: float
     ) -> PointCloud:
         """Build a cloud directly from points (used heavily by unit tests)."""
-        reduced = downsample_points(list(points), resolution) if points else []
+        raw = np.array([(p.x, p.y, p.z) for p in points], dtype=np.float64)
         return PointCloud(
             origin=origin,
-            points=tuple(reduced),
+            points=downsample_array(raw, resolution),
             raw_point_count=len(points),
             resolution=resolution,
         )

@@ -21,6 +21,17 @@ runtime built around bounded per-decision budgets must avoid.
   as a broad phase, so their cost tracks the *local* obstacle density rather
   than the total map size.
 
+**Dict-order contract.**  The level maps are plain dicts, and their
+iteration order is observable: ``build_planning_view`` sorts the coarse
+cells by distance with a stable argsort, so equal distances keep the order
+of ``level_cells``.  That order is the order in which the surviving cells
+were (last) inserted.  The batched :meth:`SpatialIndex.add_many` and
+:meth:`SpatialIndex.remove_many` keep it exactly: each coarse level is
+updated once per distinct cell, new cells are appended in the order of
+their first key in the batch, and removals never reorder what remains — so
+a batch leaves every map, bucket dict included, as the same keys added or
+removed one at a time would.
+
 The module also provides the grid-cell collision primitives shared by the
 :class:`~repro.perception.planning_view.PlanningView` and the RRT* collision
 checker (:func:`point_hits_cells`, :func:`segment_hits_cells`): scalar
@@ -35,25 +46,10 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional,
 
 import numpy as np
 
-from repro.geometry.grid import VoxelKey
+from repro.geometry.grid import VoxelKey, first_occurrence_groups, key_array, pack_keys
 from repro.geometry.vec3 import Vec3
 
 _EPS = 1e-12
-
-# Packed-key encoding: one int64 per (i, j, k) voxel key.  Components are
-# shifted by _PACK_OFF and mixed in base _PACK_BASE, supporting |i| < 2**19
-# (±100 km at 0.2 m voxels) without overflowing the 63-bit positive range.
-_PACK_OFF = 1 << 19
-_PACK_BASE = 1 << 20
-
-
-def pack_keys(ijk: np.ndarray) -> np.ndarray:
-    """Encode an ``(N, 3)`` int voxel-key array into ``(N,)`` int64 scalars."""
-    ijk = np.asarray(ijk, dtype=np.int64)
-    return (
-        (ijk[..., 0] + _PACK_OFF) * _PACK_BASE + (ijk[..., 1] + _PACK_OFF)
-    ) * _PACK_BASE + (ijk[..., 2] + _PACK_OFF)
-
 
 class PackedCellTable:
     """Sorted int64 membership table over a set of voxel keys.
@@ -271,6 +267,19 @@ def segment_hits_cells_batch(
     return hits
 
 
+def _coarsen(
+    cells: np.ndarray, counts: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Merge equal ``(N, 3)`` cells, summing their counts.
+
+    Returns ``(distinct, summed, group)`` with the distinct cells in
+    first-occurrence order and ``group`` mapping each input row to its cell.
+    """
+    first, group = first_occurrence_groups(pack_keys(cells))
+    summed = np.bincount(group, weights=counts, minlength=first.size).astype(np.int64)
+    return cells[first], summed, group
+
+
 class SpatialIndex:
     """Multi-resolution voxel-bucket index over occupied minimum-size voxels.
 
@@ -390,6 +399,66 @@ class SpatialIndex:
         if not bucket:
             del self._buckets[bucket_key]
         return True
+
+    def add_many(self, keys: Iterable[VoxelKey]) -> List[VoxelKey]:
+        """Index every key not yet present, as :meth:`add` one by one would.
+
+        Returns the keys actually added, in order.  Each coarse level and
+        the bucket dict is updated once per distinct cell, with new cells
+        appended in first-occurrence order (see the module's dict-order
+        contract).
+        """
+        level0 = self._levels[0]
+        fresh = [key for key in dict.fromkeys(keys) if key not in level0]
+        if fresh:
+            level0.update(dict.fromkeys(fresh, 1))
+            self._update_coarse(fresh, 1)
+        return fresh
+
+    def remove_many(self, keys: Iterable[VoxelKey]) -> List[VoxelKey]:
+        """Drop every present key, as :meth:`remove` one by one would.
+
+        Returns the keys actually removed, in order.  Each coarse level and
+        bucket is touched once per distinct cell.
+        """
+        level0 = self._levels[0]
+        gone = [key for key in dict.fromkeys(keys) if key in level0]
+        for key in gone:
+            del level0[key]
+        if gone:
+            self._update_coarse(gone, -1)
+        return gone
+
+    def _update_coarse(self, keys: List[VoxelKey], sign: int) -> None:
+        """Count distinct keys into (+1) or out of (-1) the coarse levels and buckets."""
+        self._array_dirty = True
+        cells = keys_array = key_array(keys)
+        counts = np.ones(len(keys), dtype=np.int64)
+        for level in range(1, self.levels):
+            cells, counts, _ = _coarsen(cells >> 1, counts)
+            level_counts = self._levels[level]
+            get = level_counts.get
+            for coarse, n in zip(map(tuple, cells.tolist()), counts.tolist()):
+                remaining = get(coarse, 0) + sign * n
+                if remaining:
+                    level_counts[coarse] = remaining
+                else:
+                    del level_counts[coarse]
+        buckets, counts, group = _coarsen(
+            keys_array // self._bucket_factor, np.ones(len(keys), dtype=np.int64)
+        )
+        members = [keys[n] for n in np.argsort(group, kind="stable").tolist()]
+        end = 0
+        for bucket_key, n in zip(map(tuple, buckets.tolist()), counts.tolist()):
+            group_keys = members[end : end + n]
+            end += n
+            if sign > 0:
+                self._buckets.setdefault(bucket_key, set()).update(group_keys)
+            else:
+                bucket = self._buckets[bucket_key]
+                bucket.difference_update(group_keys)
+                if not bucket:
+                    del self._buckets[bucket_key]
 
     def clear(self) -> None:
         """Reset the index to empty."""
@@ -602,7 +671,7 @@ class SpatialIndex:
         if self._array_dirty:
             level0 = self._levels[0]
             if level0:
-                keys = np.array(list(level0), dtype=np.int64).reshape(-1, 3)
+                keys = key_array(list(level0))
                 packed = pack_keys(keys)
                 order = np.argsort(packed)
                 self._packed = packed[order]

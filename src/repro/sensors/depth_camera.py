@@ -81,16 +81,24 @@ class DepthImage:
         if len(self.depths) != self.width * self.height:
             raise ValueError("pixel count does not match width * height")
 
+    def hit_array(self) -> np.ndarray:
+        """:meth:`hit_points` as an ``(N, 3)`` float64 array, pixel order kept.
+
+        Each row is ``origin + direction * depth`` with the same elementwise
+        arithmetic as the ``Vec3`` expression, so it is bit-identical.
+        """
+        depths = np.array(self.depths, dtype=np.float64)
+        idx = np.flatnonzero(np.isfinite(depths))
+        directions = self._dir_array
+        if directions is None:
+            directions = np.array(
+                [(d.x, d.y, d.z) for d in self.directions], dtype=np.float64
+            ).reshape(-1, 3)
+        o = np.array((self.origin.x, self.origin.y, self.origin.z))
+        return o + directions[idx] * depths[idx][:, None]
+
     def hit_points(self) -> List[Vec3]:
         """World-space 3-D points for every pixel that hit an obstacle."""
-        if hotpath.enabled() and self._dir_array is not None:
-            depths = np.array(self.depths, dtype=np.float64)
-            idx = np.flatnonzero(np.isfinite(depths))
-            if idx.size == 0:
-                return []
-            o = np.array((self.origin.x, self.origin.y, self.origin.z))
-            pts = o + self._dir_array[idx] * depths[idx][:, None]
-            return [Vec3(x, y, z) for x, y, z in pts.tolist()]
         points = []
         for direction, depth in zip(self.directions, self.depths):
             if math.isfinite(depth):

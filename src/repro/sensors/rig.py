@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Sequence
 
+import numpy as np
+
 from repro.environment.world import World
 from repro.geometry.vec3 import Vec3
 from repro.sensors.depth_camera import DepthCamera, DepthImage
@@ -30,6 +32,12 @@ class RigScan:
         for image in self.images:
             points.extend(image.hit_points())
         return points
+
+    def hit_array(self) -> np.ndarray:
+        """:meth:`all_hit_points` as one ``(N, 3)`` float64 array."""
+        if not self.images:
+            return np.empty((0, 3), dtype=np.float64)
+        return np.concatenate([image.hit_array() for image in self.images])
 
     def total_pixels(self) -> int:
         """Total rays cast across every camera in this scan."""

@@ -139,6 +139,10 @@ class MissionConfig:
             raise ValueError("max_decisions must be at least 1")
         if self.planning_horizon_m <= 0:
             raise ValueError("planning horizon must be positive")
+        if self.collision_margin_m < 0:
+            raise ValueError(
+                f"collision_margin_m cannot be negative, got {self.collision_margin_m}"
+            )
         band = self.flight_band_m
         if not isinstance(band, Sequence) or len(band) != 2:
             raise ValueError("flight_band_m must be a (low, high) pair")
@@ -513,7 +517,5 @@ def _expose_peers(
     world.set_agent_obstacles(obstacles)
     if previous_marks:
         octree.clear_cells(previous_marks)
-    keys: List[tuple] = []
-    for obstacle in obstacles:
-        keys.extend(octree.mark_box(obstacle.box))
-    return keys
+    marks = octree.mark_boxes([obstacle.box for obstacle in obstacles])
+    return list(itertools.chain.from_iterable(marks))

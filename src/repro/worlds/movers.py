@@ -35,6 +35,7 @@ simulated seconds of motion one decision epoch represents.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
@@ -271,12 +272,10 @@ class DynamicObstacleSet:
             # Two passes: clear every mover's old footprint before marking any
             # new one.  Interleaving would let a later mover's clear erase a
             # voxel an earlier mover just marked where their paths cross.
-            for mover in self.movers:
-                previous = marked.get(mover.name)
-                if previous:
-                    stats["voxels_cleared"] += octree.clear_cells(previous)
-            for mover, box in zip(self.movers, boxes):
-                keys = octree.mark_box(box)
+            stats["voxels_cleared"] = octree.clear_cells(
+                itertools.chain.from_iterable(marked.get(m.name, ()) for m in self.movers)
+            )
+            for mover, keys in zip(self.movers, octree.mark_boxes(boxes)):
                 marked[mover.name] = keys
                 stats["voxels_marked"] += len(keys)
                 stats["remarked"] += 1

@@ -1,5 +1,7 @@
 """Tests for the obstacle world, zones and the environment generator."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -30,6 +32,22 @@ class TestWorld:
         assert world.is_occupied(Vec3(20, 0, 5))
         assert not world.is_occupied(Vec3(23, 0, 5))
         assert world.is_occupied(Vec3(21.3, 0, 5), margin=0.5)
+
+    def test_negative_margin_rejected(self):
+        with pytest.raises(ValueError):
+            make_world().is_occupied(Vec3(20, 0, 5), margin=-0.1)
+
+    def test_margin_check_matches_expanded_boxes(self):
+        """The inline margin test compares the floats expanded() builds."""
+        world = make_world()
+        rng = random.Random(7)
+        for _ in range(300):
+            point = Vec3(rng.uniform(-5, 45), rng.uniform(-15, 15), rng.uniform(-2, 12))
+            margin = rng.choice([0.0, 0.2, 0.5, 1.0])
+            expected = any(
+                o.box.expanded(margin).contains(point) for o in world.obstacles
+            )
+            assert world.is_occupied(point, margin=margin) == expected
 
     def test_segment_collision(self):
         world = make_world()

@@ -20,6 +20,8 @@ from repro import (
     MissionSimulator,
     MoverSpec,
     RoboRunRuntime,
+    ScenarioSpec,
+    WorldSpec,
 )
 from repro import hotpath
 from repro.environment.world import World, Obstacle
@@ -190,13 +192,13 @@ class TestWorldAndCameraEquivalence:
             yaw = rng.uniform(-180.0, 180.0)
             with hotpath.vectorized_mode():
                 fast = camera.capture(world, pose, yaw)
-                fast_hits = fast.hit_points()
             with hotpath.scalar_mode():
                 slow = camera.capture(world, pose, yaw)
-                slow_hits = slow.hit_points()
             assert fast.depths == slow.depths
             assert fast.directions == slow.directions
-            assert fast_hits == slow_hits
+            slow_hits = [[p.x, p.y, p.z] for p in slow.hit_points()]
+            assert fast.hit_array().tolist() == slow_hits
+            assert slow.hit_array().tolist() == slow_hits
 
     @pytest.mark.parametrize("seed", range(4))
     def test_obstacle_arrays_near_matches_obstacles_near(self, seed):
@@ -234,9 +236,12 @@ class TestPointCloudAndViewEquivalence:
         rng = random.Random(500 + count)
         cloud = self.make_cloud(rng, count)
         with hotpath.vectorized_mode():
-            fast = (cloud.nearest_distance(), cloud.points_within(6.0))
+            fast = (cloud.nearest_distance(), cloud.array_within(6.0).tolist())
         with hotpath.scalar_mode():
-            slow = (cloud.nearest_distance(), cloud.points_within(6.0))
+            slow = (
+                cloud.nearest_distance(),
+                [[p.x, p.y, p.z] for p in cloud.points_within(6.0)],
+            )
         assert fast == slow
 
     @pytest.mark.parametrize("seed", range(3))
@@ -286,3 +291,39 @@ class TestMissionEquivalence:
             assert a.end_to_end_latency == b.end_to_end_latency
             assert a.policy == b.policy
             assert a.zone == b.zone
+
+    FLEET_SPEC = ScenarioSpec(
+        name="rubble_pair",
+        environment=EnvironmentConfig(
+            obstacle_density=0.3, obstacle_spread=30.0, goal_distance=30.0, seed=5
+        ),
+        mission=MissionConfig(max_decisions=8, max_mission_time_s=60.0, rng_seed=5),
+        world=WorldSpec(
+            archetype="disaster_rubble",
+            movers=(
+                MoverSpec(
+                    kind="crosser",
+                    size=(2.0, 2.0, 3.0),
+                    velocity=(0.0, 1.5, 0.0),
+                    origin=(12.0, -25.0, 5.0),
+                    span_m=50.0,
+                ),
+            ),
+        ),
+        n_drones=2,
+    )
+
+    def test_fleet_with_crosser_scalar_vs_vectorised(self):
+        """Movers and peers re-marked every epoch: the batched map updates
+        and the array insert must fly the fleet exactly as the scalar path."""
+        with hotpath.vectorized_mode():
+            fast = self.FLEET_SPEC.build_simulator().run()
+        with hotpath.scalar_mode():
+            slow = self.FLEET_SPEC.build_simulator().run()
+        assert fast.metrics.as_dict() == slow.metrics.as_dict()
+        assert fast.fleet == slow.fleet
+        assert len(fast.drones) == len(slow.drones) == 2
+        for a, b in zip(fast.drones, slow.drones):
+            assert a.metrics.as_dict() == b.metrics.as_dict()
+            assert a.traces == b.traces
+        assert fast.pipeline.executor.dispatch_log == slow.pipeline.executor.dispatch_log

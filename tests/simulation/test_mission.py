@@ -277,6 +277,11 @@ class TestMissionConfigValidation:
         with pytest.raises(ValueError):
             MissionConfig(planning_horizon_m=-1.0)
 
+    def test_negative_collision_margin_rejected(self):
+        with pytest.raises(ValueError, match="collision_margin_m"):
+            MissionConfig(collision_margin_m=-0.1)
+        assert MissionConfig(collision_margin_m=0.0).collision_margin_m == 0.0
+
     def test_flight_band_must_be_ordered_pair(self):
         with pytest.raises(ValueError):
             MissionConfig(flight_band_m=(12.0, 2.0))
